@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -155,7 +156,7 @@ func main() {
 	// candidates (and inside perfsim between layers), flush any armed
 	// checkpoint, and unwind with guard.ErrCanceled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, *fig, *full, hf)
+	runErr := run(ctx, os.Stdout, *fig, *full, hf)
 	stopSignals()
 	stop() // flush profiles/trace/metrics before any exit
 	if runErr != nil {
@@ -168,7 +169,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
+func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) error {
 	ctx, root := obs.Start(ctx, "dse.run")
 	root.SetInt("fig", int64(fig))
 	defer root.End()
@@ -194,11 +195,11 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("edge sweep (28nm, 16mm2, 2W, LPDDR 12.8GB/s): single-image inference")
-		fmt.Printf("%-12s %9s %9s %7s | %20s | %20s\n",
+		fmt.Fprintln(w, "edge sweep (28nm, 16mm2, 2W, LPDDR 12.8GB/s): single-image inference")
+		fmt.Fprintf(w, "%-12s %9s %9s %7s | %20s | %20s\n",
 			"point", "peakTOPS", "area-mm2", "TDP-W", "resnet50 (ms, fps/W)", "mobilenet (ms, fps/W)")
 		for _, r := range rows {
-			fmt.Printf("%-12s %9.2f %9.1f %7.2f | %9.1f %9.1f | %9.2f %9.1f\n",
+			fmt.Fprintf(w, "%-12s %9.2f %9.1f %7.2f | %9.1f %9.1f | %9.2f %9.1f\n",
 				r.Point, r.PeakTOPS, r.AreaMM2, r.TDPW,
 				r.LatencyMS, r.FPSPerWatt, r.MobileLatencyMS, r.MobileFPSPerWatt)
 		}
@@ -207,25 +208,25 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
+		fmt.Fprintln(w, s)
 	case 7:
 		rows, err := dse.Fig7(cs, dse.DefaultModels(), []int{1, 4, 16, 64, 256})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %6s %12s %12s %7s\n", "model", "batch", "fps-before", "fps-after", "gain")
+		fmt.Fprintf(w, "%-10s %6s %12s %12s %7s\n", "model", "batch", "fps-before", "fps-after", "gain")
 		for _, r := range rows {
-			fmt.Printf("%-10s %6d %12.1f %12.1f %6.2fx\n", r.Model, r.Batch, r.FPSBefore, r.FPSAfter, r.Gain())
+			fmt.Fprintf(w, "%-10s %6d %12.1f %12.1f %6.2fx\n", r.Model, r.Batch, r.FPSBefore, r.FPSAfter, r.Gain())
 		}
 	case 8:
 		cands := candidates(ctx, cs, full, hf.workers)
 		rows := dse.Fig8(cands)
-		fmt.Printf("%-14s %9s %9s %8s %9s %12s  breakdown (mm2)\n",
+		fmt.Fprintf(w, "%-14s %9s %9s %8s %9s %12s  breakdown (mm2)\n",
 			"point", "peakTOPS", "area", "TDP", "TOPS/W", "TOPS/TCO")
 		for _, r := range rows {
 			bd := r.AreaBreakdown
 			cores := bd.Find("cores")
-			fmt.Printf("%-14s %9.2f %8.1f %7.1fW %9.3f %12.6f  tu=%.0f mem=%.0f vu=%.0f su=%.0f cdb=%.0f noc=%.0f\n",
+			fmt.Fprintf(w, "%-14s %9.2f %8.1f %7.1fW %9.3f %12.6f  tu=%.0f mem=%.0f vu=%.0f su=%.0f cdb=%.0f noc=%.0f\n",
 				r.Point, r.PeakTOPS, r.AreaMM2, r.TDPW, r.PeakTOPSPerW, r.PeakTOPSPerTCO*1e3,
 				cores.Child("tu").AreaMM2, cores.Child("mem").AreaMM2,
 				cores.Child("vu").AreaMM2, cores.Child("su").AreaMM2,
@@ -236,13 +237,13 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %6s %10s %10s %s\n", "model", "batch", "fps", "latency", "SLO10")
+		fmt.Fprintf(w, "%-10s %6s %10s %10s %s\n", "model", "batch", "fps", "latency", "SLO10")
 		for _, r := range rows {
-			fmt.Printf("%-10s %6d %10.1f %8.2fms %v\n", r.Model, r.Batch, r.FPS, r.LatencyMS, r.MeetsSLO10)
+			fmt.Fprintf(w, "%-10s %6d %10.1f %8.2fms %v\n", r.Model, r.Batch, r.FPS, r.LatencyMS, r.MeetsSLO10)
 		}
-		fmt.Println("\n10ms latency-limited batch sizes (paper: resnet=16, nasnet=4, inception=32):")
+		fmt.Fprintln(w, "\n10ms latency-limited batch sizes (paper: resnet=16, nasnet=4, inception=32):")
 		for _, m := range []string{"resnet", "nasnet", "inception"} {
-			fmt.Printf("  %-10s %d\n", m, limits[m])
+			fmt.Fprintf(w, "  %-10s %d\n", m, limits[m])
 		}
 	case 10:
 		cands := dse.SecondRound(candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
@@ -272,18 +273,18 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 					return fmt.Errorf("dse: write csv: %w", err)
 				}
 			}
-			fmt.Printf("== Fig 10(%s) ==\n%s", name, dse.FormatRuntimeRows(rows))
+			fmt.Fprintf(w, "== Fig 10(%s) ==\n%s", name, dse.FormatRuntimeRows(rows))
 			report := func(label string, f func(dse.RuntimeRow) float64) {
-				w, err := dse.Winner(rows, f)
+				best, err := dse.Winner(rows, f)
 				if err == nil {
-					fmt.Printf("  best %-12s %s\n", label, w.Point)
+					fmt.Fprintf(w, "  best %-12s %s\n", label, best.Point)
 				}
 			}
 			report("throughput", dse.ByAchievedTOPS)
 			report("utilization", dse.ByUtilization)
 			report("TOPS/W", dse.ByTOPSPerWatt)
 			report("TOPS/TCO", dse.ByTOPSPerTCO)
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	default:
 		return fmt.Errorf("unknown figure %d", fig)

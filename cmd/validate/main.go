@@ -10,18 +10,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
 	"neurometer/internal/guard"
 	"neurometer/internal/refchips"
 )
-
-// fail prints a structured one-line error (kind from the guard taxonomy,
-// grep-friendly for CI log scraping) and exits with the taxonomy code.
-func fail(err error) {
-	guard.Exit("validate", err)
-}
 
 func main() {
 	which := flag.String("chip", "all", "chip to validate: tpuv1 | tpuv2 | eyeriss | all")
@@ -30,36 +25,55 @@ func main() {
 	// Validation units are quick, but a SIGINT between them still exits 130
 	// instead of pretending the remainder passed.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
+	err := run(ctx, os.Stdout, *which)
+	stopSignals()
+	if err != nil {
+		// A structured one-line error (kind from the guard taxonomy,
+		// grep-friendly for CI log scraping) and the taxonomy exit code.
+		guard.Exit("validate", err)
+	}
+}
 
-	run := func(name string, f func() (refchips.Report, error)) {
+// run writes the validation report for the selected chip(s) to w.
+func run(ctx context.Context, w io.Writer, which string) error {
+	report := func(name string, f func() (refchips.Report, error)) error {
 		if err := guard.CtxErr(ctx); err != nil {
-			fail(err)
+			return err
 		}
 		rep, err := f()
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", name, err))
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(w, rep)
+		return nil
 	}
-	switch *which {
+	switch which {
 	case "tpuv1":
-		run("tpuv1", refchips.ValidateTPUv1)
+		return report("tpuv1", refchips.ValidateTPUv1)
 	case "tpuv2":
-		run("tpuv2", refchips.ValidateTPUv2)
+		return report("tpuv2", refchips.ValidateTPUv2)
 	case "eyeriss":
-		run("eyeriss", refchips.ValidateEyeriss)
+		return report("eyeriss", refchips.ValidateEyeriss)
 	case "all":
-		run("tpuv1", refchips.ValidateTPUv1)
-		run("tpuv2", refchips.ValidateTPUv2)
-		run("eyeriss", refchips.ValidateEyeriss)
-		if r, w, err := refchips.VMemPorts(); err == nil {
-			fmt.Printf("tpu-v2 vmem ports found by optimizer: %dR%dW (paper: 2R1W)\n", r, w)
+		for _, u := range []struct {
+			name string
+			f    func() (refchips.Report, error)
+		}{
+			{"tpuv1", refchips.ValidateTPUv1},
+			{"tpuv2", refchips.ValidateTPUv2},
+			{"eyeriss", refchips.ValidateEyeriss},
+		} {
+			if err := report(u.name, u.f); err != nil {
+				return err
+			}
+		}
+		if r, wr, err := refchips.VMemPorts(); err == nil {
+			fmt.Fprintf(w, "tpu-v2 vmem ports found by optimizer: %dR%dW (paper: 2R1W)\n", r, wr)
 		}
 		if pe, err := refchips.EyerissPEAreaMM2(); err == nil {
-			fmt.Printf("eyeriss PE area: %.4f mm2 (published ~0.05 mm2)\n", pe)
+			fmt.Fprintf(w, "eyeriss PE area: %.4f mm2 (published ~0.05 mm2)\n", pe)
 		}
-	default:
-		fail(guard.Invalid("unknown chip %q", *which))
+		return nil
 	}
+	return guard.Invalid("unknown chip %q", which)
 }
