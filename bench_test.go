@@ -142,7 +142,7 @@ func BenchmarkFig8AreaTDP(b *testing.B) {
 	cs := dse.TableI()
 	var rows []dse.Fig8Row
 	for i := 0; i < b.N; i++ {
-		cands := dse.Frontier(dse.Enumerate(cs), cs.TOPSCap)
+		cands := dse.Frontier(dse.EnumerateParallel(context.Background(), cs, 1), cs.TOPSCap)
 		rows = dse.Fig8(cands)
 	}
 	var bestTCO dse.Fig8Row
@@ -191,12 +191,12 @@ func BenchmarkFig9BatchSweep(b *testing.B) {
 // efficiency study across the design space at the three batch regimes.
 func BenchmarkFig10RuntimeDSE(b *testing.B) {
 	cs := dse.TableI()
-	cands := dse.SecondRound(dse.Frontier(dse.Enumerate(cs), cs.TOPSCap), cs.TOPSCap)
+	cands := dse.SecondRound(dse.Frontier(dse.EnumerateParallel(context.Background(), cs, 1), cs.TOPSCap), cs.TOPSCap)
 	var out map[string][]dse.RuntimeRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = dse.Fig10(cands, dse.DefaultModels())
+		out, err = dse.Fig10Hardened(context.Background(), cands, dse.DefaultModels(), dse.Hardening{}, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkFig10RuntimeDSE(b *testing.B) {
 // higher) to see the speedup.
 func BenchmarkRuntimeStudyWorkers(b *testing.B) {
 	cs := dse.TableI()
-	cands := dse.SecondRound(dse.Frontier(dse.Enumerate(cs), cs.TOPSCap), cs.TOPSCap)
+	cands := dse.SecondRound(dse.Frontier(dse.EnumerateParallel(context.Background(), cs, 1), cs.TOPSCap), cs.TOPSCap)
 	models := dse.DefaultModels()
 	spec := dse.BatchSpec{Fixed: 8}
 	for _, workers := range []int{1, 4} {
@@ -311,7 +311,7 @@ func BenchmarkPerfSim(b *testing.B) {
 	g := workloads.ResNet50()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := perfsim.Simulate(c, g, 16, perfsim.DefaultOptions()); err != nil {
+		if _, err := perfsim.SimulateCtx(context.Background(), c, g, 16, perfsim.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,7 +348,7 @@ func BenchmarkCycleSimCrossValidation(b *testing.B) {
 	var st cyclesim.Stats
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = cyclesim.Simulate(cfg)
+		st, err = cyclesim.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

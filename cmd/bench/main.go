@@ -6,8 +6,9 @@
 //
 //	simulate_single    per-candidate perfsim.SimulateCtx throughput
 //	                   (ResNet-50, batch 16, a fixed 64-chip candidate set)
-//	simulate_batch64   perfsim.SimulateBatch over the same 64 candidates —
-//	                   one prepared workload, pooled result scratch
+//	simulate_into64    the prepared path over the same 64 candidates — one
+//	                   perfsim.Prepare, then a (*Prepared).SimulateInto loop
+//	                   into one scratch Result
 //	fig10_sweep        wall clock of the full Fig. 10 runtime study
 //	                   (frontier candidates, all three batch regimes)
 //
@@ -17,7 +18,8 @@
 //	                 record is marked mode=smoke so trajectories do not mix)
 //	-out file        write the JSON record here (default stdout)
 //	-compare file    compare against a prior record and fail (exit 1) on
-//	                 candidates/sec regression beyond -max-regress
+//	                 candidates/sec regression beyond -max-regress, or when
+//	                 the record lacks a gated metric
 //	-max-regress f   allowed fractional throughput regression (default 0.15)
 //
 // Numbers from different machines are not comparable; the record embeds the
@@ -43,7 +45,9 @@ import (
 
 // schemaVersion identifies the BENCH_*.json layout. Bump it when a field
 // changes meaning, so older records are recognized rather than misread.
-const schemaVersion = 1
+// Version 2 renamed simulate_batch64_cands_per_sec and batch_speedup to
+// simulate_into64_cands_per_sec and prepared_speedup.
+const schemaVersion = 2
 
 // Record is the whole benchmark JSON document.
 type Record struct {
@@ -63,13 +67,14 @@ type Host struct {
 }
 
 // Results holds the pinned measurements. Throughputs are gated by -compare;
-// the sweep wall clock is informational (it includes enumeration and
-// chip-build work the throughput gates already bound transitively).
+// the sweep wall clock is informational. Its timing starts after
+// enumeration, so it covers the three runtime studies only, not chip
+// construction.
 type Results struct {
-	SimulateSingleCandsPerSec  float64 `json:"simulate_single_cands_per_sec"`
-	SimulateBatch64CandsPerSec float64 `json:"simulate_batch64_cands_per_sec"`
-	BatchSpeedup               float64 `json:"batch_speedup"`
-	Fig10SweepMS               float64 `json:"fig10_sweep_ms"`
+	SimulateSingleCandsPerSec float64 `json:"simulate_single_cands_per_sec"`
+	SimulateInto64CandsPerSec float64 `json:"simulate_into64_cands_per_sec"`
+	PreparedSpeedup           float64 `json:"prepared_speedup"`
+	Fig10SweepMS              float64 `json:"fig10_sweep_ms"`
 }
 
 func main() {
@@ -146,28 +151,25 @@ func run(smoke bool) (Record, error) {
 	}
 	rec.Results.SimulateSingleCandsPerSec = single
 
-	// Pinned benchmark 2: the batch engine over the same candidate set.
+	// Pinned benchmark 2: the prepared path over the same candidate set.
 	p, err := perfsim.Prepare(g)
 	if err != nil {
 		return rec, err
 	}
-	batch, err := measure(window, len(chips), func() error {
-		br, berr := p.SimulateBatch(ctx, 16, opt, chips)
-		if berr != nil {
-			return berr
-		}
-		failed := br.Failed()
-		br.Release()
-		if failed != 0 {
-			return fmt.Errorf("%d of %d candidates failed", failed, len(chips))
+	var res perfsim.Result
+	into, err := measure(window, len(chips), func() error {
+		for _, c := range chips {
+			if serr := p.SimulateInto(ctx, c, 16, opt, &res); serr != nil {
+				return serr
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return rec, fmt.Errorf("simulate_batch64: %w", err)
+		return rec, fmt.Errorf("simulate_into64: %w", err)
 	}
-	rec.Results.SimulateBatch64CandsPerSec = batch
-	rec.Results.BatchSpeedup = batch / single
+	rec.Results.SimulateInto64CandsPerSec = into
+	rec.Results.PreparedSpeedup = into / single
 
 	// Pinned benchmark 3: Fig. 10 sweep wall clock (best of 3 full runs, or
 	// a single run in smoke mode — the study itself is the window).
@@ -178,7 +180,7 @@ func run(smoke bool) (Record, error) {
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < runs; i++ {
 		cs := dse.TableI()
-		cands := dse.SecondRound(dse.Frontier(dse.EnumerateCtx(ctx, cs), cs.TOPSCap), cs.TOPSCap)
+		cands := dse.SecondRound(dse.Candidates(ctx, cs, false, 1), cs.TOPSCap)
 		start := time.Now()
 		if _, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), dse.Hardening{Workers: 1}, ""); err != nil {
 			return rec, fmt.Errorf("fig10_sweep: %w", err)
@@ -240,9 +242,10 @@ func benchChips(n int) ([]*chip.Chip, error) {
 }
 
 // gate fails when the new record's candidates/sec throughput regresses more
-// than maxRegress below the baseline. Wall clocks are not gated — they fold
-// in enumeration and build work with their own variance — and records from a
-// different mode or schema are rejected rather than compared.
+// than maxRegress below the baseline, or when the baseline lacks a gated
+// metric (a missing or zero value would otherwise turn its gate off
+// silently). Wall clocks are not gated, and records from a different
+// schema are rejected rather than compared.
 func gate(rec Record, baselinePath string, maxRegress float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -258,7 +261,7 @@ func gate(rec Record, baselinePath string, maxRegress float64) error {
 	}
 	check := func(name string, got, want float64) error {
 		if want <= 0 {
-			return nil // metric absent from the baseline
+			return fmt.Errorf("baseline %s has no %s value: a gated metric cannot be compared", baselinePath, name)
 		}
 		floor := want * (1 - maxRegress)
 		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f cands/sec (baseline %12.0f, floor %12.0f)\n",
@@ -272,5 +275,5 @@ func gate(rec Record, baselinePath string, maxRegress float64) error {
 	if err := check("simulate_single", rec.Results.SimulateSingleCandsPerSec, base.Results.SimulateSingleCandsPerSec); err != nil {
 		return err
 	}
-	return check("simulate_batch64", rec.Results.SimulateBatch64CandsPerSec, base.Results.SimulateBatch64CandsPerSec)
+	return check("simulate_into64", rec.Results.SimulateInto64CandsPerSec, base.Results.SimulateInto64CandsPerSec)
 }

@@ -66,7 +66,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -219,7 +218,7 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 			fmt.Fprintf(w, "%-10s %6d %12.1f %12.1f %6.2fx\n", r.Model, r.Batch, r.FPSBefore, r.FPSAfter, r.Gain())
 		}
 	case 8:
-		cands := candidates(ctx, cs, full, hf.workers)
+		cands := dse.Candidates(ctx, cs, full, hf.workers)
 		rows := dse.Fig8(cands)
 		fmt.Fprintf(w, "%-14s %9s %9s %8s %9s %12s  breakdown (mm2)\n",
 			"point", "peakTOPS", "area", "TDP", "TOPS/W", "TOPS/TCO")
@@ -246,7 +245,7 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 			fmt.Fprintf(w, "  %-10s %d\n", m, limits[m])
 		}
 	case 10:
-		cands := dse.SecondRound(candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
+		cands := dse.SecondRound(dse.Candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
 		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers, BlockSize: hf.block}
 		dispatch, err := hf.dispatcher()
 		if err != nil {
@@ -290,19 +289,4 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 		return fmt.Errorf("unknown figure %d", fig)
 	}
 	return nil
-}
-
-func candidates(ctx context.Context, cs dse.Constraints, full bool, workers int) []dse.Candidate {
-	cands := dse.EnumerateParallel(ctx, cs, workers)
-	if !full {
-		cands = dse.Frontier(cands, cs.TOPSCap)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.PeakTOPS != b.PeakTOPS {
-			return a.PeakTOPS > b.PeakTOPS
-		}
-		return a.Point.X > b.Point.X
-	})
-	return cands
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,6 +44,7 @@ func main() {
 		{64, 4, 1, 2},  // the paper's efficiency optimum
 		{8, 4, 4, 8},   // the paper's utilization optimum (wimpy)
 	}
+	ctx := context.Background()
 	models := neurometer.Workloads()
 	opt := neurometer.DefaultSimOptions()
 
@@ -57,7 +59,7 @@ func main() {
 			}
 			var ach, util, watts, weff float64
 			for _, g := range models {
-				sim, err := neurometer.Simulate(chip, g, batch, opt)
+				sim, err := neurometer.SimulateCtx(ctx, chip, g, batch, opt)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := neurometer.Simulate(chip, resnet, 8, neurometer.DefaultSimOptions())
+	ctx := context.Background()
+	sim, err := neurometer.SimulateCtx(ctx, chip, resnet, 8, neurometer.DefaultSimOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 	fmt.Printf("runtime:     %.1f W -> %.3f TOPS/W\n", eff.PowerW, eff.TOPSPerWatt)
 
 	// And the 10ms-SLO batch size the paper's datacenter study uses.
-	batch, _, err := neurometer.LatencyLimitedBatch(chip, resnet, 10e-3, neurometer.DefaultSimOptions())
+	batch, _, err := neurometer.LatencyLimitedBatchCtx(ctx, chip, resnet, 10e-3, neurometer.DefaultSimOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

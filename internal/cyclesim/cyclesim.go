@@ -54,8 +54,8 @@ func (s Stats) Utilization() float64 {
 	return float64(s.MACs) / float64(s.ClockedCellCycles)
 }
 
-// Simulate runs the GEMM cycle by cycle.
-func Simulate(cfg Config) (Stats, error) {
+// Run simulates the GEMM cycle by cycle.
+func Run(cfg Config) (Stats, error) {
 	x := cfg.ArraySize
 	if x <= 0 {
 		return Stats{}, fmt.Errorf("cyclesim: array size must be positive, got %d", x)
@@ -145,7 +145,7 @@ func max(a, b int) int {
 // AnalyticalCycles is the closed form the performance simulator uses for
 // one tensor unit processing the same GEMM: rounds x (M + bubble) plus the
 // one-time fill, where the bubble is the per-round wavefront exposure.
-// Cross-validating it against Simulate is the point of this package.
+// Cross-validating it against Run is the point of this package.
 func AnalyticalCycles(cfg Config) float64 {
 	x := float64(cfg.ArraySize)
 	kt := float64((cfg.K + cfg.ArraySize - 1) / cfg.ArraySize)

@@ -7,10 +7,10 @@ import (
 )
 
 func TestValidation(t *testing.T) {
-	if _, err := Simulate(Config{ArraySize: 0, M: 1, K: 1, N: 1}); err == nil {
+	if _, err := Run(Config{ArraySize: 0, M: 1, K: 1, N: 1}); err == nil {
 		t.Errorf("zero array must fail")
 	}
-	if _, err := Simulate(Config{ArraySize: 8, M: 0, K: 1, N: 1}); err == nil {
+	if _, err := Run(Config{ArraySize: 8, M: 0, K: 1, N: 1}); err == nil {
 		t.Errorf("zero M must fail")
 	}
 }
@@ -25,7 +25,7 @@ func TestMACsExact(t *testing.T) {
 		{ArraySize: 32, M: 7, K: 64, N: 96, DoubleBufferWeights: true},
 		{ArraySize: 64, M: 196, K: 576, N: 64, DoubleBufferWeights: true},
 	} {
-		st, err := Simulate(cfg)
+		st, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestMACsExactProperty(t *testing.T) {
 			K:         int(kRaw)%150 + 1,
 			N:         int(nRaw)%150 + 1,
 		}
-		st, err := Simulate(cfg)
+		st, err := Run(cfg)
 		if err != nil {
 			return false
 		}
@@ -62,13 +62,13 @@ func TestMACsExactProperty(t *testing.T) {
 // cycles whenever there is more than one tile.
 func TestDoubleBufferingHelps(t *testing.T) {
 	base := Config{ArraySize: 16, M: 64, K: 64, N: 64}
-	plain, err := Simulate(base)
+	plain, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := base
 	db.DoubleBufferWeights = true
-	fast, err := Simulate(db)
+	fast, err := Run(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAnalyticalAgreement(t *testing.T) {
 		{ArraySize: 32, M: 49, K: 64, N: 64},
 		{ArraySize: 16, M: 400, K: 144, N: 32},
 	} {
-		st, err := Simulate(cfg)
+		st, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestAnalyticalAgreement(t *testing.T) {
 func TestUtilizationShape(t *testing.T) {
 	prev := 0.0
 	for _, m := range []int{16, 64, 256, 1024} {
-		st, err := Simulate(Config{ArraySize: 32, M: m, K: 64, N: 64, DoubleBufferWeights: true})
+		st, err := Run(Config{ArraySize: 32, M: m, K: 64, N: 64, DoubleBufferWeights: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +126,8 @@ func TestUtilizationShape(t *testing.T) {
 		}
 		prev = st.Utilization()
 	}
-	small, _ := Simulate(Config{ArraySize: 8, M: 32, K: 64, N: 64, DoubleBufferWeights: true})
-	big, _ := Simulate(Config{ArraySize: 64, M: 32, K: 64, N: 64, DoubleBufferWeights: true})
+	small, _ := Run(Config{ArraySize: 8, M: 32, K: 64, N: 64, DoubleBufferWeights: true})
+	big, _ := Run(Config{ArraySize: 64, M: 32, K: 64, N: 64, DoubleBufferWeights: true})
 	if small.Utilization() <= big.Utilization() {
 		t.Errorf("at tiny M the small array must utilize better: %.3f vs %.3f",
 			small.Utilization(), big.Utilization())
@@ -137,11 +137,11 @@ func TestUtilizationShape(t *testing.T) {
 // TestPaddingWaste: a K that just exceeds a tile boundary burns almost a
 // full extra round.
 func TestPaddingWaste(t *testing.T) {
-	exact, err := Simulate(Config{ArraySize: 32, M: 100, K: 64, N: 32, DoubleBufferWeights: true})
+	exact, err := Run(Config{ArraySize: 32, M: 100, K: 64, N: 32, DoubleBufferWeights: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded, err := Simulate(Config{ArraySize: 32, M: 100, K: 65, N: 32, DoubleBufferWeights: true})
+	padded, err := Run(Config{ArraySize: 32, M: 100, K: 65, N: 32, DoubleBufferWeights: true})
 	if err != nil {
 		t.Fatal(err)
 	}

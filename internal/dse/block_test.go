@@ -14,7 +14,7 @@ import (
 // evaluates which candidate, so every observable artifact — table, CSV,
 // checkpoint bytes — must be byte-identical at any (workers, block)
 // combination. Run under -race these tests also prove block claiming and
-// the shared studySim/scratch pool are race-free.
+// the shared prepared models and scratch pool are race-free.
 
 func TestResolveBlock(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{

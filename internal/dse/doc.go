@@ -6,11 +6,13 @@
 //
 // # Pipeline
 //
-// The sweep is a pipeline of pure stages. Enumerate (or EnumerateParallel)
-// builds every design point under the constraints and keeps the feasible
-// ones; Frontier and SecondRound narrow the candidate set the way the
-// paper does; RuntimeStudy / RuntimeStudyHardened simulate each surviving
-// candidate over the workload models; Winner ranks the rows by a metric
+// The sweep is a pipeline of pure stages, each with one ctx-first entry
+// point. EnumerateParallel builds every design point under the
+// constraints and keeps the feasible ones; Frontier and SecondRound narrow
+// the candidate set the way the paper does (Candidates is enumerate plus
+// frontier, the set cmd/dse and NewStudy share); RuntimeStudyHardened
+// prepares the workload models once and simulates each surviving
+// candidate over them; Winner ranks the rows by a metric
 // (ByAchievedTOPS, ByTOPSPerWatt, ...); FormatRuntimeRows and
 // RuntimeRowsCSV render them. cmd/dse drives the whole pipeline per paper
 // figure.

@@ -149,31 +149,26 @@ func (cs Constraints) sweepPoints() []Point {
 	return pts
 }
 
-// Enumerate sweeps the (X, N, Tx, Ty) space, builds every candidate, and
-// prunes the ones that exceed the area/power budgets or the peak-TOPS upper
-// bound (§III-A.1: points beyond the budget or with extremely low
-// performance are pruned; core count is swept up to the feasibility edge).
-func Enumerate(cs Constraints) []Candidate {
-	return EnumerateCtx(context.Background(), cs)
-}
-
-// EnumerateCtx is Enumerate with observability and fault tolerance: a span
-// over the sweep, pruning counters, and debug-level progress logging.
-// chip.Build converts model-stack panics to guard.ErrCandidatePanic, so a
-// single broken design point cannot take down the sweep — it is counted,
-// logged at warn level, and pruned. Cancelling ctx stops the enumeration
-// early; the candidates built so far are returned. Evaluation runs on a
-// single worker; use EnumerateParallel to fan out.
-func EnumerateCtx(ctx context.Context, cs Constraints) []Candidate {
-	return EnumerateParallel(ctx, cs, 1)
-}
-
-// EnumerateParallel is EnumerateCtx fanned out across a bounded worker
-// pool (DefaultWorkers = GOMAXPROCS). Builds are memoized through
-// chip.BuildCached — repeated enumerations and the figure drivers'
-// reference points share one build per distinct configuration — and
-// results are collected by sweep index, so the returned candidate list is
-// identical to the serial path's for any worker count.
+// EnumerateParallel sweeps the (X, N, Tx, Ty) space, builds every
+// candidate, and prunes the ones that exceed the area/power budgets or the
+// peak-TOPS upper bound (§III-A.1: points beyond the budget or with
+// extremely low performance are pruned; core count is swept up to the
+// feasibility edge). The result is sorted by peak TOPS descending, then X
+// descending, then tile count ascending.
+//
+// Builds fan out across a bounded worker pool (workers <= 1 runs serially
+// on the caller's goroutine; DefaultWorkers = GOMAXPROCS) and are memoized
+// through chip.BuildCached — repeated enumerations and the figure drivers'
+// reference points share one build per distinct configuration. Results
+// are collected by sweep index, so the candidate list is identical for any
+// worker count.
+//
+// The sweep is fault tolerant: chip.Build converts model-stack panics to
+// guard.ErrCandidatePanic, so a single broken design point cannot take
+// down the sweep — it is counted, logged at warn level, and pruned.
+// Cancelling ctx stops the enumeration early; the candidates built so far
+// are returned. A span covers the sweep, with pruning counters and
+// debug-level progress logging.
 func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candidate {
 	ctx, span := obs.Start(ctx, "dse.enumerate")
 	defer span.End()
@@ -228,8 +223,18 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 		slog.WarnContext(ctx, "dse: enumerate interrupted",
 			"tried", tried.Load(), "feasible", len(out), "err", interrupted)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sortCandidates(out)
+	span.SetInt("tried", tried.Load())
+	span.SetInt("feasible", int64(len(out)))
+	slog.DebugContext(ctx, "dse: enumerate done", "tried", tried.Load(), "feasible", len(out))
+	return out
+}
+
+// sortCandidates puts cands in presentation order: peak TOPS descending,
+// then X descending, then tile count ascending.
+func sortCandidates(cands []Candidate) {
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
 		if c := cmpDesc(a.PeakTOPS, b.PeakTOPS); c != 0 {
 			return c < 0
 		}
@@ -238,10 +243,6 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 		}
 		return a.Point.Tiles() < b.Point.Tiles()
 	})
-	span.SetInt("tried", tried.Load())
-	span.SetInt("feasible", int64(len(out)))
-	slog.DebugContext(ctx, "dse: enumerate done", "tried", tried.Load(), "feasible", len(out))
-	return out
 }
 
 // cmpDesc orders a before b (negative) when a is larger, with NaN always
@@ -293,16 +294,7 @@ func Frontier(cands []Candidate, topsCap float64) []Candidate {
 	for _, c := range best {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if c := cmpDesc(a.PeakTOPS, b.PeakTOPS); c != 0 {
-			return c < 0
-		}
-		if a.Point.X != b.Point.X {
-			return a.Point.X > b.Point.X
-		}
-		return a.Point.Tiles() < b.Point.Tiles()
-	})
+	sortCandidates(out)
 	return out
 }
 
@@ -322,6 +314,20 @@ func SecondRound(cands []Candidate, topsCap float64) []Candidate {
 		}
 	}
 	return out
+}
+
+// Candidates is the candidate set of the Fig. 8 and Fig. 10 studies: the
+// enumerated feasible set (EnumerateParallel), reduced to the Fig. 8
+// frontier unless full is set. Both steps return presentation order (peak
+// TOPS descending, then X descending, then tile count ascending), and
+// SecondRound is an order-preserving filter, so callers may apply it
+// afterwards without re-sorting.
+func Candidates(ctx context.Context, cs Constraints, full bool, workers int) []Candidate {
+	cands := EnumerateParallel(ctx, cs, workers)
+	if !full {
+		cands = Frontier(cands, cs.TOPSCap)
+	}
+	return cands
 }
 
 // BatchSpec selects the batch regime of a runtime study: a fixed batch
@@ -355,29 +361,9 @@ type RuntimeRow struct {
 	Batches []int
 }
 
-// RuntimeStudy simulates every candidate on the workload set under the
-// batch regime and aggregates the four Fig. 10 metrics.
-//
-// A failing candidate does not abort the sweep: its error is wrapped with
-// the design point and model name, counted in the dse.candidate_failures
-// metric, logged, and the candidate is skipped. The joined failure errors
-// are returned only when every candidate failed (no rows survived).
-func RuntimeStudy(cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) ([]RuntimeRow, error) {
-	return RuntimeStudyCtx(context.Background(), cands, models, spec, opt)
-}
-
-// RuntimeStudyCtx is RuntimeStudy with observability: a span over the
-// study, a child span per candidate (nesting the per-graph simulation
-// spans), an eval-latency histogram, and progress logging. It runs with no
-// per-candidate deadline, no retries, and no checkpoint; use
-// RuntimeStudyHardened to configure those.
-func RuntimeStudyCtx(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) ([]RuntimeRow, error) {
-	return RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{})
-}
-
 // Hardening configures the fault-tolerance envelope of a runtime study.
 // The zero value means: no per-candidate deadline, no retries, no
-// checkpoint — the historical RuntimeStudy behavior.
+// checkpoint, serial evaluation.
 type Hardening struct {
 	// CandidateTimeout bounds each candidate's evaluation across the whole
 	// workload set; 0 = unbounded. An expired deadline fails the candidate
@@ -441,13 +427,27 @@ type outcome struct {
 	resumed bool // replayed from the checkpoint
 }
 
-// RuntimeStudyHardened is RuntimeStudyCtx with a configurable robustness
-// envelope and an optional worker pool (Hardening.Workers). Per candidate
-// it recovers panics (guard.ErrCandidatePanic), enforces the deadline,
-// retries retryable failures, and rejects rows with non-finite aggregates;
-// a canceled sweep ctx stops new evaluations, lets in-flight workers
-// unwind, flushes the checkpoint, and returns the rows completed so far
-// along with the classified cause (guard.ErrCanceled / guard.ErrTimeout).
+// RuntimeStudyHardened simulates every candidate on the workload set under
+// the batch regime and aggregates the four Fig. 10 metrics, under the
+// robustness envelope h and an optional worker pool (Hardening.Workers).
+// A span covers the study, with a child span per candidate (nesting the
+// per-graph simulation spans), an eval-latency histogram, and progress
+// logging.
+//
+// Every workload graph is validated and prepared once, up front: a model
+// that fails perfsim.Prepare fails the whole study (guard.ErrInvalidConfig)
+// before any checkpoint, store, dispatch or evaluation work starts.
+//
+// A failing candidate does not abort the sweep: per candidate the study
+// recovers panics (guard.ErrCandidatePanic), enforces the deadline,
+// retries retryable failures, and rejects rows with non-finite aggregates.
+// The error is wrapped with the design point and model name, counted in
+// the dse.candidate_failures metric, logged, and the candidate is skipped;
+// the joined failure errors are returned only when every candidate failed
+// (no rows survived). A canceled sweep ctx stops new evaluations, lets
+// in-flight workers unwind, flushes the checkpoint, and returns the rows
+// completed so far along with the classified cause (guard.ErrCanceled /
+// guard.ErrTimeout).
 //
 // Determinism: rows and failures are assembled in candidate order whatever
 // the worker count, the checkpoint file serializes its outcome maps with
@@ -460,6 +460,14 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	span.SetStr("spec", spec.String())
 	span.SetInt("candidates", int64(len(cands)))
 	span.SetInt("workers", int64(resolveWorkers(h.Workers)))
+
+	// One simulation context for the whole study: every workload graph is
+	// validated and prepared exactly once here, then shared read-only by
+	// all workers — the per-candidate hot path never re-parses a graph.
+	prepared, err := prepareModels(models)
+	if err != nil {
+		return nil, fmt.Errorf("dse: runtime study: %w", err)
+	}
 
 	// Replay checkpointed outcomes up front (cheap map lookups); only the
 	// remainder enters the pool.
@@ -575,10 +583,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		pending = remaining
 	}
 
-	// One simulation context for the whole study: every workload graph is
-	// validated and prepared exactly once here, then shared read-only by
-	// all workers — the per-candidate hot path never re-parses a graph.
-	sim := newStudySim(models)
 	var completed atomic.Int64
 	poolErr := runPool(ctx, len(pending), h.Workers, h.BlockSize, func(pi int) {
 		i := pending[pi]
@@ -590,7 +594,7 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		if h.Results != nil {
 			fp = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
 		}
-		row, err := evalStoreAware(cctx, h.Results, fp, cand, sim, spec, opt, h)
+		row, err := evalStoreAware(cctx, h.Results, fp, cand, prepared, spec, opt, h)
 		mEvalLatency.Observe(time.Since(evalStart).Seconds())
 		cspan.End()
 		if n := completed.Add(1); n%progressEvery == 0 || n == int64(len(pending)) {
@@ -658,28 +662,18 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	return rows, nil
 }
 
-// studySim is the simulation context one study shares across all of its
-// candidate evaluations: every workload graph validated and prepared
-// exactly once, so the per-candidate hot path runs straight into the
-// closed forms. Immutable after newStudySim and safe for any number of
-// concurrent workers.
-//
-// A model that fails Prepare keeps a nil entry and falls back to the
-// historical per-candidate SimulateCtx path, which surfaces the same
-// validation error bytes from the same candidate the serial engine would.
-type studySim struct {
-	models   []*graph.Graph
-	prepared []*perfsim.Prepared
-}
-
-func newStudySim(models []*graph.Graph) *studySim {
-	s := &studySim{models: models, prepared: make([]*perfsim.Prepared, len(models))}
+// prepareModels validates and prepares every workload graph of a study.
+// The prepared models are immutable and shared read-only by every worker.
+func prepareModels(models []*graph.Graph) ([]*perfsim.Prepared, error) {
+	prepared := make([]*perfsim.Prepared, len(models))
 	for i, g := range models {
-		if p, err := perfsim.Prepare(g); err == nil {
-			s.prepared[i] = p
+		p, err := perfsim.Prepare(g)
+		if err != nil {
+			return nil, err
 		}
+		prepared[i] = p
 	}
-	return s
+	return prepared, nil
 }
 
 // evalScratch is one evaluation's reusable simulation output. Two Results
@@ -693,13 +687,13 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // evalWithRetry evaluates one candidate under the hardening envelope:
 // deadline per attempt, bounded retry of retryable failures.
-func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
+func evalWithRetry(ctx context.Context, cand Candidate, models []*perfsim.Prepared, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
 	for attempt := 0; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(func() {})
 		if h.CandidateTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, h.CandidateTimeout)
 		}
-		row, err := evalCandidate(actx, cand, sim, spec, opt)
+		row, err := evalCandidate(actx, cand, models, spec, opt)
 		cancel()
 		if err == nil {
 			return row, nil
@@ -720,7 +714,7 @@ func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, spec Batc
 // guard.ErrCandidatePanic; the aggregated row is finite-checked before it
 // can reach a frontier or CSV. Simulation output lands in pooled scratch,
 // so the steady state of a sweep allocates only the row's Batches slice.
-func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, spec BatchSpec, opt perfsim.Options) (row RuntimeRow, err error) {
+func evalCandidate(ctx context.Context, cand Candidate, models []*perfsim.Prepared, spec BatchSpec, opt perfsim.Options) (row RuntimeRow, err error) {
 	defer guard.RecoverTo(&err)
 	if ierr := guard.Inject(ctx, "dse.candidate"); ierr != nil {
 		return RuntimeRow{}, fmt.Errorf("dse: candidate %s: %w", cand.Point, ierr)
@@ -728,28 +722,19 @@ func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, spec Batc
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	row = RuntimeRow{Point: cand.Point, PeakTOPS: cand.PeakTOPS}
-	nModels := float64(len(sim.models))
+	nModels := float64(len(models))
 	utilProd, wEffProd, cEffProd := 1.0, 1.0, 1.0
-	for mi, g := range sim.models {
-		var res *perfsim.Result
+	for _, p := range models {
+		res, batch := &sc.a, spec.Fixed
 		var serr error
-		batch := spec.Fixed
-		if p := sim.prepared[mi]; p != nil {
-			if batch > 0 {
-				if serr = p.SimulateInto(ctx, cand.Chip, batch, opt, &sc.a); serr == nil {
-					res = &sc.a
-				}
-			} else {
-				batch, res, serr = p.LatencyLimitedInto(ctx, cand.Chip, spec.LatencyBound, opt, &sc.a, &sc.b)
-			}
-		} else if batch > 0 {
-			res, serr = perfsim.SimulateCtx(ctx, cand.Chip, g, batch, opt)
+		if batch > 0 {
+			serr = p.SimulateInto(ctx, cand.Chip, batch, opt, res)
 		} else {
-			batch, res, serr = perfsim.LatencyLimitedBatchCtx(ctx, cand.Chip, g, spec.LatencyBound, opt)
+			batch, res, serr = p.LatencyLimitedInto(ctx, cand.Chip, spec.LatencyBound, opt, &sc.a, &sc.b)
 		}
 		if serr != nil {
 			return RuntimeRow{}, fmt.Errorf("dse: candidate %s on model %q (%s): %w",
-				cand.Point, g.Name, spec, serr)
+				cand.Point, p.Graph().Name, spec, serr)
 		}
 		e := cand.Chip.Efficiency(res.AchievedTOPS*1e12, res.Activity)
 		row.AchievedTOPS += res.AchievedTOPS / nModels

@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"context"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 )
 
 // sweep is computed once; the full enumeration builds ~100 chips.
-var sweep = Enumerate(TableI())
+var sweep = EnumerateParallel(context.Background(), TableI(), 1)
 
 func findCand(t *testing.T, p Point) Candidate {
 	t.Helper()
@@ -143,7 +145,7 @@ func TestFig10SmallBatchClaims(t *testing.T) {
 	for _, p := range points {
 		cands = append(cands, findCand(t, p))
 	}
-	rows, err := RuntimeStudy(cands, DefaultModels(), BatchSpec{Fixed: 1}, perfsim.DefaultOptions())
+	rows, err := RuntimeStudyHardened(context.Background(), cands, DefaultModels(), BatchSpec{Fixed: 1}, perfsim.DefaultOptions(), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestFig10LargeBatchEnergyFavors32(t *testing.T) {
 	for _, p := range points {
 		cands = append(cands, findCand(t, p))
 	}
-	rows, err := RuntimeStudy(cands, DefaultModels(), BatchSpec{Fixed: 256}, perfsim.DefaultOptions())
+	rows, err := RuntimeStudyHardened(context.Background(), cands, DefaultModels(), BatchSpec{Fixed: 256}, perfsim.DefaultOptions(), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,4 +327,71 @@ func TestFig8RowsCarryBreakdowns(t *testing.T) {
 			t.Errorf("%s: inconsistent breakdown", r.Point)
 		}
 	}
+}
+
+// TestLatencyLimitedBatchMatchesExhaustiveScan is the exhaustive oracle
+// for the latency-limited batch search: on every feasible Table I chip and
+// every default model, perfsim.LatencyLimitedBatchCtx must pick what a full
+// SimulateCtx scan of the power-of-two batches 1, 2, ..., 512 picks under
+// the documented rule — the largest batch within the bound, else 1 — with
+// bit-identical headline metrics. Besides the paper's 10 ms SLO, a 1 ms and
+// a 1 s bound reach both ends of the rule (batch 1 over the bound, and the
+// 512 cap). The search stops at the first probe over the bound, so the scan
+// also checks that latency never falls as the batch grows, the property
+// that makes stopping early exact.
+func TestLatencyLimitedBatchMatchesExhaustiveScan(t *testing.T) {
+	ctx := context.Background()
+	opt := perfsim.DefaultOptions()
+	picked := map[int]int{}
+	batchOneMisses := 0
+	for _, cand := range sweep {
+		for _, g := range DefaultModels() {
+			var scan []*perfsim.Result
+			for b := 1; b <= 512; b *= 2 {
+				r, err := perfsim.SimulateCtx(ctx, cand.Chip, g, b, opt)
+				if err != nil {
+					t.Fatalf("%s %s batch %d: %v", cand.Point, g.Name, b, err)
+				}
+				if n := len(scan); n > 0 && r.LatencySec < scan[n-1].LatencySec {
+					t.Errorf("%s %s: latency falls from batch %d to %d", cand.Point, g.Name, b/2, b)
+				}
+				scan = append(scan, r)
+			}
+			for _, bound := range []float64{1e-3, 10e-3, 1} {
+				want := 1
+				for _, r := range scan {
+					if r.LatencySec <= bound {
+						want = r.Batch
+					}
+				}
+				picked[want]++
+				if scan[0].LatencySec > bound {
+					batchOneMisses++
+				}
+				got, res, err := perfsim.LatencyLimitedBatchCtx(ctx, cand.Chip, g, bound, opt)
+				if err != nil {
+					t.Fatalf("%s %s bound %gs: %v", cand.Point, g.Name, bound, err)
+				}
+				if got != want {
+					t.Errorf("%s %s bound %gs: latency-limited batch %d, exhaustive scan %d",
+						cand.Point, g.Name, bound, got, want)
+					continue
+				}
+				w := scan[bits.TrailingZeros(uint(want))]
+				if res.Batch != w.Batch || res.Cycles != w.Cycles || res.LatencySec != w.LatencySec ||
+					res.FPS != w.FPS || res.AchievedTOPS != w.AchievedTOPS ||
+					res.Utilization != w.Utilization || res.Activity != w.Activity {
+					t.Errorf("%s %s bound %gs: batch %d result differs from the scan's", cand.Point, g.Name, bound, got)
+				}
+				if len(res.Layers) != len(g.Layers) {
+					t.Errorf("%s %s: %d layer stats, want %d", cand.Point, g.Name, len(res.Layers), len(g.Layers))
+				}
+			}
+		}
+	}
+	if picked[512] == 0 || batchOneMisses == 0 {
+		t.Errorf("the bounds miss an end of the rule: %d cases at the 512 cap, %d with batch 1 over the bound",
+			picked[512], batchOneMisses)
+	}
+	t.Logf("%d chips x %d models; batches picked: %v", len(sweep), len(DefaultModels()), picked)
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 
 	"neurometer/internal/chip"
@@ -86,6 +87,7 @@ func EdgeStudy() ([]EdgeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.TODO()
 	var rows []EdgeRow
 	for _, x := range cs.XChoices {
 		for _, n := range cs.NChoices {
@@ -99,11 +101,11 @@ func EdgeStudy() ([]EdgeRow, error) {
 				if err != nil {
 					continue // over budget
 				}
-				res, err := perfsim.Simulate(c, resnet, 1, perfsim.DefaultOptions())
+				res, err := perfsim.SimulateCtx(ctx, c, resnet, 1, perfsim.DefaultOptions())
 				if err != nil {
 					return nil, fmt.Errorf("dse: edge %s: %w", p, err)
 				}
-				mob, err := perfsim.Simulate(c, mobilenet, 1, perfsim.DefaultOptions())
+				mob, err := perfsim.SimulateCtx(ctx, c, mobilenet, 1, perfsim.DefaultOptions())
 				if err != nil {
 					return nil, fmt.Errorf("dse: edge %s (mobilenet): %w", p, err)
 				}

@@ -20,7 +20,7 @@ import (
 func ExampleHardening() {
 	cs := dse.TableI()
 	cs.XChoices, cs.NChoices, cs.MaxTiles = []int{8, 64}, []int{2, 4}, 32
-	cands := dse.SecondRound(dse.EnumerateCtx(context.Background(), cs), cs.TOPSCap)
+	cands := dse.SecondRound(dse.EnumerateParallel(context.Background(), cs, 1), cs.TOPSCap)
 	g, err := workloads.ByName("alexnet")
 	if err != nil {
 		fmt.Println("workload:", err)

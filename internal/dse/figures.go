@@ -30,14 +30,15 @@ func Fig7(cs Constraints, models []*graph.Graph, batches []int) ([]Fig7Row, erro
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.TODO()
 	var rows []Fig7Row
 	for _, g := range models {
 		for _, bs := range batches {
-			after, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.DefaultOptions())
+			after, err := perfsim.SimulateCtx(ctx, cand.Chip, g, bs, perfsim.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}
-			before, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.NoOptimizations())
+			before, err := perfsim.SimulateCtx(ctx, cand.Chip, g, bs, perfsim.NoOptimizations())
 			if err != nil {
 				return nil, err
 			}
@@ -108,11 +109,12 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 	if err != nil {
 		return nil, nil, err
 	}
+	ctx := context.TODO()
 	var rows []Fig9Row
 	limits := map[string]int{}
 	for _, g := range models {
 		for _, bs := range batches {
-			r, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.DefaultOptions())
+			r, err := perfsim.SimulateCtx(ctx, cand.Chip, g, bs, perfsim.DefaultOptions())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -122,7 +124,7 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 				MeetsSLO10: r.LatencySec <= 10e-3,
 			})
 		}
-		lim, _, err := perfsim.LatencyLimitedBatch(cand.Chip, g, 10e-3, perfsim.DefaultOptions())
+		lim, _, err := perfsim.LatencyLimitedBatchCtx(ctx, cand.Chip, g, 10e-3, perfsim.DefaultOptions())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -131,22 +133,13 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 	return rows, limits, nil
 }
 
-// Fig10 runs the three batch regimes of Fig. 10 over the candidate set:
-// (a) batch 1, (b) 10ms-latency-limited batch, (c) batch 256.
-func Fig10(cands []Candidate, models []*graph.Graph) (map[string][]RuntimeRow, error) {
-	return Fig10Ctx(context.Background(), cands, models)
-}
-
-// Fig10Ctx is Fig10 threading a span context through the three runtime
-// studies (one span each, named after the batch regime).
-func Fig10Ctx(ctx context.Context, cands []Candidate, models []*graph.Graph) (map[string][]RuntimeRow, error) {
-	return Fig10Hardened(ctx, cands, models, Hardening{}, "")
-}
-
 // Fig10Regimes lists the batch regimes of Fig. 10 in execution order.
 var Fig10Regimes = []string{"a-small", "b-medium", "c-large"}
 
-// Fig10Hardened is Fig10Ctx under a hardening envelope. A non-empty
+// Fig10Hardened runs the three batch regimes of Fig. 10 over the candidate
+// set — (a) batch 1, (b) 10ms-latency-limited batch, (c) batch 256 — as
+// one RuntimeStudyHardened each under the hardening envelope h, with one
+// span per regime study. A non-empty
 // checkpointPath stores one checkpoint per batch regime at
 // <checkpointPath>.<regime>.json; regimes run in Fig10Regimes order so an
 // interrupted run resumes deterministically. h.Checkpoint is ignored (each

@@ -6,12 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
 	"neurometer/internal/perfsim"
+	"neurometer/internal/rstore"
 	"neurometer/internal/workloads"
 )
 
@@ -303,8 +305,71 @@ func TestEnumerateSurvivesInjectedBuildPanic(t *testing.T) {
 	defer guard.DisarmAll()
 	disarm := guard.Arm("chip.build", guard.Fault{Skip: 2, Count: 1, Panic: true})
 	defer disarm()
-	out := Enumerate(TableI())
+	out := EnumerateParallel(context.Background(), TableI(), 1)
 	if len(out) < len(sweep)-1 {
 		t.Fatalf("enumeration lost more than the panicking candidate: %d vs %d", len(out), len(sweep))
+	}
+}
+
+// countingStore is an empty result store that counts every access.
+type countingStore struct{ gets, puts atomic.Int64 }
+
+func (s *countingStore) Get(string) ([]byte, error) {
+	s.gets.Add(1)
+	return nil, rstore.ErrNotFound
+}
+func (s *countingStore) Put(string, []byte) error { s.puts.Add(1); return nil }
+func (s *countingStore) Quarantine(string, error) {}
+func (s *countingStore) Close() error             { return nil }
+
+// TestStudyFailsUpFrontOnUnpreparableModel: a workload that fails
+// perfsim.Prepare fails the whole study once, with guard.ErrInvalidConfig,
+// before the store, dispatch and pool phases run — on the coordinator's
+// local path and on a fleet worker's EvalShard path alike. No candidate is
+// evaluated and no per-candidate failure is recorded.
+func TestStudyFailsUpFrontOnUnpreparableModel(t *testing.T) {
+	defer guard.DisarmAll()
+	cands, spec, opt := studyFixture(t)
+	empty := *alexnet(t)[0]
+	empty.Name, empty.Layers = "empty", nil
+	models := []*graph.Graph{alexnet(t)[0], &empty}
+	// A fault that never fires, armed only to count candidate evaluations.
+	guard.Arm("dse.candidate", guard.Fault{Skip: math.MaxInt})
+	evaluated := func() int { return guard.Stats()["dse.candidate"].Hits }
+
+	st := &countingStore{}
+	dispatched := false
+	rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{
+		Workers:  2,
+		Results:  rstore.NewCache(st),
+		Dispatch: func(context.Context, Shard, func(ShardOutcome)) { dispatched = true },
+	})
+	if !errors.Is(err, guard.ErrInvalidConfig) || rows != nil {
+		t.Fatalf("local: got rows=%v err=%v, want no rows and ErrInvalidConfig", rows, err)
+	}
+	if want := `dse: runtime study: invalid config: perfsim: graph "empty" has no layers`; err.Error() != want {
+		t.Errorf("local: error %q, want %q", err, want)
+	}
+	if n := st.gets.Load() + st.puts.Load(); n != 0 || dispatched || evaluated() != 0 {
+		t.Errorf("local: store accesses=%d dispatched=%v evaluations=%d, want none", n, dispatched, evaluated())
+	}
+
+	defer func(orig func(string) (*graph.Graph, error)) { modelByName = orig }(modelByName)
+	modelByName = func(name string) (*graph.Graph, error) {
+		if name == empty.Name {
+			return &empty, nil
+		}
+		return workloads.ByName(name)
+	}
+	sh := BuildShard(cands, []int{0, 1, 2}, models, spec, opt, Hardening{})
+	outs, err := EvalShard(context.Background(), sh, 2, rstore.NewCache(st))
+	if !errors.Is(err, guard.ErrInvalidConfig) || outs != nil {
+		t.Fatalf("shard: got outcomes=%v err=%v, want none and ErrInvalidConfig", outs, err)
+	}
+	if want := `dse: shard: invalid config: perfsim: graph "empty" has no layers`; err.Error() != want {
+		t.Errorf("shard: error %q, want %q", err, want)
+	}
+	if n := st.gets.Load() + st.puts.Load(); n != 0 || evaluated() != 0 {
+		t.Errorf("shard: store accesses=%d evaluations=%d, want none", n, evaluated())
 	}
 }

@@ -123,13 +123,13 @@ func lookupStoredRow(ctx context.Context, cache *rstore.Cache, fp string, want P
 // shared bytes exactly like a disk read; if the bytes do not survive
 // verification the waiter falls back to evaluating locally — a degraded
 // flight changes cost, never results.
-func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Candidate, sim *studySim, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
+func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Candidate, models []*perfsim.Prepared, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
 	if cache == nil {
-		return evalWithRetry(ctx, cand, sim, spec, opt, h)
+		return evalWithRetry(ctx, cand, models, spec, opt, h)
 	}
 	var leaderRow RuntimeRow
 	payload, shared, err := cache.Compute(ctx, fp, func() ([]byte, error) {
-		row, err := evalWithRetry(ctx, cand, sim, spec, opt, h)
+		row, err := evalWithRetry(ctx, cand, models, spec, opt, h)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Ca
 	row, derr := decodeStoredRow(payload, cand.Point)
 	if derr != nil {
 		cache.ReportBad(ctx, fp, derr)
-		return evalWithRetry(ctx, cand, sim, spec, opt, h)
+		return evalWithRetry(ctx, cand, models, spec, opt, h)
 	}
 	mStoreHits.Inc()
 	return row, nil

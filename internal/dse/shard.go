@@ -26,6 +26,10 @@ import (
 // distributed studies: the fleet only changes *where* a candidate runs,
 // never *what* it computes.
 
+// modelByName resolves a shard's workload names. It is a variable so tests
+// can plant a workload that fails perfsim.Prepare.
+var modelByName = workloads.ByName
+
 // ShardCandidate is one design point of a shard, addressed by its index in
 // the study's candidate list.
 type ShardCandidate struct {
@@ -94,10 +98,11 @@ func BuildShard(cands []Candidate, indices []int, models []*graph.Graph, spec Ba
 // evaluate it over the workload set under the shard's hardening knobs, and
 // report one outcome per candidate. Candidate failures are outcomes, not
 // errors — a shard full of infeasible points still succeeds. EvalShard
-// itself fails only on malformed shards (unknown workloads, no candidates)
-// or when ctx dies mid-shard, in which case the coordinator retries the
-// whole shard elsewhere (re-evaluation is free of side effects and
-// deterministic).
+// itself fails only on malformed shards (unknown workloads, a model that
+// fails perfsim.Prepare, no candidates) — once, up front, before any
+// candidate is touched — or when ctx dies mid-shard, in which case the
+// coordinator retries the whole shard elsewhere (re-evaluation is free of
+// side effects and deterministic).
 //
 // cache, when non-nil, is the worker's local result store: each candidate
 // is looked up by the same fingerprint the coordinator derives (the shard
@@ -114,7 +119,7 @@ func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) 
 	}
 	models := make([]*graph.Graph, 0, len(sh.Models))
 	for _, name := range sh.Models {
-		g, err := workloads.ByName(name)
+		g, err := modelByName(name)
 		if err != nil {
 			return nil, guard.Invalid("dse: shard: %v", err)
 		}
@@ -127,12 +132,15 @@ func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) 
 	// The whole shard shares one simulation context: every workload prepared
 	// once, candidates evaluated as one batch over it — a worker's hot path
 	// is the same prepared closed forms the coordinator's local pool runs.
-	sim := newStudySim(models)
+	prepared, err := prepareModels(models)
+	if err != nil {
+		return nil, fmt.Errorf("dse: shard: %w", err)
+	}
 	outs := make([]ShardOutcome, len(sh.Cands))
 	runPool(ctx, len(sh.Cands), workers, 0, func(i int) {
 		sc := sh.Cands[i]
 		cctx, sp := obs.Start(ctx, "dse.candidate", obs.Int("index", int64(sc.Index)))
-		outs[i] = evalShardCandidate(cctx, sc, sh, sim, h, cache)
+		outs[i] = evalShardCandidate(cctx, sc, sh, prepared, h, cache)
 		sp.End()
 	})
 	if err := guard.CtxErr(ctx); err != nil {
@@ -144,7 +152,7 @@ func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) 
 // evalShardCandidate resolves one shard candidate: a verified store hit
 // skips even the chip rebuild; otherwise the chip is rebuilt and the
 // candidate evaluated through the store's single-flight layer.
-func evalShardCandidate(ctx context.Context, sc ShardCandidate, sh Shard, sim *studySim, h Hardening, cache *rstore.Cache) ShardOutcome {
+func evalShardCandidate(ctx context.Context, sc ShardCandidate, sh Shard, models []*perfsim.Prepared, h Hardening, cache *rstore.Cache) ShardOutcome {
 	out := ShardOutcome{Index: sc.Index}
 	var fp string
 	if cache != nil {
@@ -158,7 +166,7 @@ func evalShardCandidate(ctx context.Context, sc ShardCandidate, sh Shard, sim *s
 	if err == nil {
 		cand := Candidate{Point: sc.Point, Chip: c, PeakTOPS: c.PeakTOPS()}
 		var row RuntimeRow
-		row, err = evalStoreAware(ctx, cache, fp, cand, sim, sh.Spec, sh.Opt, h)
+		row, err = evalStoreAware(ctx, cache, fp, cand, models, sh.Spec, sh.Opt, h)
 		if err == nil {
 			out.Row = &row
 			return out

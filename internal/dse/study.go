@@ -2,7 +2,6 @@ package dse
 
 import (
 	"context"
-	"sort"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
@@ -45,11 +44,10 @@ type Study struct {
 
 // NewStudy resolves a spec into a runnable study: workloads are looked up
 // by name, the design space is enumerated and reduced exactly as cmd/dse
-// -fig 10 does (frontier unless Full, then second-round pruning, then the
-// peak-TOPS-descending presentation order), and the study fingerprint is
-// derived from the surviving candidate list. Unknown workload names and
-// empty candidate sets fail with guard taxonomy errors so callers can map
-// them to 400/422 directly.
+// -fig 10 does (Candidates, then second-round pruning), and the study
+// fingerprint is derived from the surviving candidate list. Unknown
+// workload names and empty candidate sets fail with guard taxonomy errors
+// so callers can map them to 400/422 directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	models := workloads.All()
 	if len(spec.Models) > 0 {
@@ -62,21 +60,10 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 			models = append(models, g)
 		}
 	}
-	cands := EnumerateCtx(ctx, spec.Constraints)
+	cands := SecondRound(Candidates(ctx, spec.Constraints, spec.Full, 1), spec.Constraints.TOPSCap)
 	if err := guard.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if !spec.Full {
-		cands = Frontier(cands, spec.Constraints.TOPSCap)
-	}
-	cands = SecondRound(cands, spec.Constraints.TOPSCap)
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.PeakTOPS != b.PeakTOPS {
-			return a.PeakTOPS > b.PeakTOPS
-		}
-		return a.Point.X > b.Point.X
-	})
 	if len(cands) == 0 {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
 	}

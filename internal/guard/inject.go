@@ -123,15 +123,12 @@ func armLocked(site string, af *armedFault, replace bool) {
 	st.list = append(st.list, af)
 }
 
-// Arm installs a fault at the named site and returns a disarm func.
-// Arming a site replaces any fault (or plan slice) already installed
-// there. Safe for concurrent use with site hits; tests normally defer the
-// disarm.
+// Arm installs a fault at the named site and returns a disarm func: a
+// one-fault, deterministic ArmPlan. Arming a site replaces any fault (or
+// plan slice) already installed there. Safe for concurrent use with site
+// hits; tests normally defer the disarm.
 func Arm(site string, f Fault) (disarm func()) {
-	injectMu.Lock()
-	defer injectMu.Unlock()
-	armLocked(site, &armedFault{Fault: f}, true)
-	return func() { Disarm(site) }
+	return ArmPlan(Plan{Faults: []PlanFault{{Site: site, Fault: f}}})
 }
 
 // ArmPlan arms every fault of the plan and returns a disarm func covering

@@ -14,34 +14,33 @@
 //
 // # Concurrency contract
 //
-// Simulate is a pure function of its inputs: it mutates neither the
+// Simulation is a pure function of its inputs: it mutates neither the
 // *chip.Chip (immutable after chip.Build) nor the *graph.Graph it is
-// given, and keeps all working state on the stack. Any number of
-// goroutines may therefore simulate against shared chips and graphs
-// concurrently — this is exactly what the dse parallel sweep engine does —
-// and identical inputs always produce bitwise-identical Results.
+// given, and keeps all working state on the stack or in caller-owned
+// scratch. Any number of goroutines may therefore simulate against shared
+// chips, graphs and Prepared workloads concurrently — this is exactly what
+// the dse parallel sweep engine does — and identical inputs always produce
+// bitwise-identical Results.
 //
-// # Batch evaluation
+// # Entry points
 //
-// The design-space engine asks one question many times: "this workload,
-// this batch size, these N candidate chips". Prepare validates a graph once
-// and precomputes every chip-independent per-layer quantity; SimulateBatch
-// (and the lower-level Prepared methods SimulateInto / LatencyLimitedInto)
-// then run the same closed forms over each candidate into pooled result
-// scratch, so the steady state allocates nothing per candidate. Headline
-// metrics are bit-identical to per-candidate SimulateCtx calls; per-layer
-// LayerStat detail is a single-candidate feature — use SimulateCtx when
-// Layers matter. BatchResults come from a sync.Pool: Release them when done
-// and copy out anything that must outlive the batch. See PERFORMANCE.md for
-// the measured profile and the benchmark trajectory.
+// SimulateCtx runs one detailed simulation (per-layer LayerStat records
+// and spans) and LatencyLimitedBatchCtx searches the latency-limited batch
+// size. The fast path for "this workload, this batch size, these N
+// candidate chips" is Prepare, which validates a graph once and
+// precomputes every chip-independent per-layer quantity, then a loop of
+// (*Prepared).SimulateInto (or LatencyLimitedInto) calls into one scratch
+// Result. That loop allocates nothing per candidate, and its headline
+// metrics are bit-identical to per-candidate SimulateCtx calls. See
+// PERFORMANCE.md for the measured profile and the benchmark trajectory.
 //
 // # Error contract
 //
-// Simulate returns errors classified under the guard taxonomy:
+// Every entry point returns errors classified under the guard taxonomy:
 // guard.ErrInvalidConfig for malformed graphs or options,
 // guard.ErrInfeasible for layers the chip cannot map, guard.ErrNonFinite
 // if any derived quantity leaves the finite range, and the classified
-// context error (guard.ErrCanceled / guard.ErrTimeout) when SimulateCtx's
-// context expires — checked between layers, so cancellation latency is one
+// context error (guard.ErrCanceled / guard.ErrTimeout) when the ctx
+// expires — checked between layers, so cancellation latency is one
 // layer's closed-form evaluation.
 package perfsim

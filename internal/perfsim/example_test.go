@@ -11,12 +11,13 @@ import (
 	"neurometer/internal/workloads"
 )
 
-// SimulateBatch amortizes workload preparation across many candidate chips:
-// the graph is validated and its per-layer closed-form inputs computed once,
-// and every candidate's headline metrics are bit-identical to a
-// per-candidate Simulate call. The returned BatchResult is pooled scratch —
-// Release it when done, and copy out anything that must outlive the batch.
-func ExampleSimulateBatch() {
+// The prepared path amortizes workload preparation across many candidate
+// chips: the graph is validated and its per-layer closed-form inputs
+// computed once, then one SimulateInto call per candidate fills a single
+// scratch Result. Every candidate's headline metrics are bit-identical to
+// a per-candidate SimulateCtx call; copy out what must outlive the next
+// call, since it overwrites the scratch.
+func ExamplePrepared_SimulateInto() {
 	build := func(x int) *chip.Chip {
 		c, err := chip.BuildCached(chip.Config{
 			Name: fmt.Sprintf("x%d", x), TechNM: 28, ClockHz: 700e6,
@@ -40,31 +41,31 @@ func ExampleSimulateBatch() {
 		fmt.Println("workload:", err)
 		return
 	}
-	br, err := perfsim.SimulateBatch(context.Background(), g, 8, perfsim.DefaultOptions(), candidates)
+	p, err := perfsim.Prepare(g)
 	if err != nil {
-		fmt.Println("simulate:", err)
+		fmt.Println("prepare:", err)
 		return
 	}
-	defer br.Release()
-	fmt.Println("candidates evaluated:", len(br.Results))
-	fmt.Println("failures:", br.Failed())
-	for i, c := range candidates {
-		single, _ := perfsim.Simulate(c, g, 8, perfsim.DefaultOptions())
-		fmt.Printf("%s matches single-candidate run: %v\n",
-			c.Cfg.Name, br.Results[i].FPS == single.FPS)
+	ctx := context.Background()
+	var res perfsim.Result
+	for _, c := range candidates {
+		if err := p.SimulateInto(ctx, c, 8, perfsim.DefaultOptions(), &res); err != nil {
+			fmt.Println("simulate:", err)
+			return
+		}
+		single, _ := perfsim.SimulateCtx(ctx, c, g, 8, perfsim.DefaultOptions())
+		fmt.Printf("%s matches single-candidate run: %v\n", c.Cfg.Name, res.FPS == single.FPS)
 	}
 	// Output:
-	// candidates evaluated: 3
-	// failures: 0
 	// x32 matches single-candidate run: true
 	// x64 matches single-candidate run: true
 	// x128 matches single-candidate run: true
 }
 
-// Simulate maps a workload graph onto a built chip and returns per-batch
-// runtime metrics. It is pure — the chip and graph are read-only — so
-// sweeps call it concurrently against shared instances.
-func ExampleSimulate() {
+// SimulateCtx maps a workload graph onto a built chip and returns per-batch
+// runtime metrics with per-layer detail. It is pure — the chip and graph
+// are read-only — so sweeps call it concurrently against shared instances.
+func ExampleSimulateCtx() {
 	c, err := chip.BuildCached(chip.Config{
 		Name: "example", TechNM: 28, ClockHz: 700e6,
 		Tx: 2, Ty: 2,
@@ -85,7 +86,7 @@ func ExampleSimulate() {
 		fmt.Println("workload:", err)
 		return
 	}
-	res, err := perfsim.Simulate(c, g, 8, perfsim.DefaultOptions())
+	res, err := perfsim.SimulateCtx(context.Background(), c, g, 8, perfsim.DefaultOptions())
 	if err != nil {
 		fmt.Println("simulate:", err)
 		return

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,7 +50,7 @@ func FuzzPerfsimOptions(f *testing.F) {
 		x := []int{8, 16, 32, 64, 128}[abs(xRaw)%5]
 		n := []int{1, 2, 4}[abs(nRaw)%3]
 		opt := Options{SpaceToDepth: s2d, SpaceToBatch: s2b, DoubleBuffer: dbuf}
-		res, err := Simulate(build(x, n), g, batch, opt) // must never panic
+		res, err := SimulateCtx(context.Background(), build(x, n), g, batch, opt) // must never panic
 		if err != nil {
 			return
 		}

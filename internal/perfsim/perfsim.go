@@ -93,22 +93,19 @@ const (
 	haloPerCore = 0.08
 )
 
-// Simulate runs one batch of g through c.
-func Simulate(c *chip.Chip, g *graph.Graph, batch int, opt Options) (*Result, error) {
-	return SimulateCtx(context.Background(), c, g, batch, opt)
-}
-
-// SimulateCtx is Simulate with observability and robustness: it opens a
-// span per graph (child of any span in ctx) and a child span per layer
-// carrying the mapping decision and cycle breakdown. The ctx deadline is
-// honored between layers (a canceled or expired ctx aborts the simulation
-// with guard.ErrCanceled/ErrTimeout), and the headline result metrics are
-// finite-checked before returning so NaN/Inf never escapes into sweeps.
+// SimulateCtx runs one batch of g through c and returns the detailed
+// result, per-layer stats included. It opens a span per graph (child of any
+// span in ctx) and a child span per layer carrying the mapping decision and
+// cycle breakdown. The ctx deadline is honored between layers (a canceled
+// or expired ctx aborts the simulation with guard.ErrCanceled/ErrTimeout),
+// panics are recovered as guard.ErrCandidatePanic, and the headline result
+// metrics are finite-checked before returning so NaN/Inf never escapes into
+// sweeps.
 //
 // SimulateCtx re-validates and re-prepares the graph on every call. When
 // evaluating many chips against one workload, Prepare the graph once and
-// use (*Prepared).SimulateInto or SimulateBatch, which amortize that cost
-// and reuse result scratch; both produce bit-identical headline metrics.
+// loop (*Prepared).SimulateInto over one scratch Result: it skips that cost,
+// allocates nothing, and produces bit-identical headline metrics.
 func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options) (res *Result, err error) {
 	defer guard.RecoverTo(&err)
 	if c == nil {
@@ -120,18 +117,25 @@ func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, o
 	if batch <= 0 {
 		return nil, guard.Invalid("perfsim: batch must be positive, got %d", batch)
 	}
+	p, err := Prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	return p.simulateDetailed(ctx, c, batch, opt)
+}
+
+// simulateDetailed is SimulateCtx on a prepared graph with validated
+// arguments: the perfsim.simulate fault site and span, then one detailed
+// simulation into a fresh Result.
+func (p *Prepared) simulateDetailed(ctx context.Context, c *chip.Chip, batch int, opt Options) (*Result, error) {
 	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
 		return nil, err
 	}
 	ctx, span := obs.Start(ctx, "perfsim.simulate")
 	defer span.End()
-	span.SetStr("graph", g.Name)
+	span.SetStr("graph", p.g.Name)
 	span.SetInt("batch", int64(batch))
-	p, err := Prepare(g)
-	if err != nil {
-		return nil, err
-	}
-	res = &Result{Layers: make([]LayerStat, 0, len(g.Layers))}
+	res := &Result{Layers: make([]LayerStat, 0, len(p.layers))}
 	if err := simulateInto(ctx, c, p, batch, opt, res, true); err != nil {
 		return nil, err
 	}
@@ -527,32 +531,24 @@ func offChipGBps(c *chip.Chip) float64 {
 	return total
 }
 
-// LatencyLimitedBatch finds the largest power-of-two batch whose batch
-// latency stays within the bound (the paper's "latency limited batch size",
-// §III-B.2, with a 10 ms production SLO). It returns the batch and its
-// simulation result; batch 1 is returned even if it misses the bound.
-func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
-	return LatencyLimitedBatchCtx(context.Background(), c, g, latencyBound, opt)
-}
-
-// LatencyLimitedBatchCtx is LatencyLimitedBatch threading a span context
-// through the underlying simulations.
-func LatencyLimitedBatchCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
-	best, bestRes, err := 1, (*Result)(nil), error(nil)
-	r, err := SimulateCtx(ctx, c, g, 1, opt)
+// LatencyLimitedBatchCtx finds the paper's "latency limited batch size"
+// (§III-B.2, with a 10 ms production SLO): the largest power-of-two batch up
+// to 512 whose batch latency stays within the bound, or batch 1 when even
+// that misses it. It prepares g once, runs the search with
+// (*Prepared).LatencyLimitedInto, and returns the chosen batch with its
+// detailed simulation (per-layer stats and spans, as SimulateCtx).
+func LatencyLimitedBatchCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (batch int, res *Result, err error) {
+	defer guard.RecoverTo(&err)
+	p, err := Prepare(g)
 	if err != nil {
 		return 0, nil, err
 	}
-	bestRes = r
-	for b := 2; b <= 512; b *= 2 {
-		r, err := SimulateCtx(ctx, c, g, b, opt)
-		if err != nil {
-			return 0, nil, err
-		}
-		if r.LatencySec > latencyBound {
-			break
-		}
-		best, bestRes = b, r
+	var a, b Result
+	if batch, _, err = p.LatencyLimitedInto(ctx, c, latencyBound, opt, &a, &b); err != nil {
+		return 0, nil, err
 	}
-	return best, bestRes, err
+	if res, err = p.simulateDetailed(ctx, c, batch, opt); err != nil {
+		return 0, nil, err
+	}
+	return batch, res, nil
 }

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"strings"
@@ -36,12 +37,12 @@ func dcPoint(t *testing.T, x, n, tx, ty int) *chip.Chip {
 func TestSimulateValidation(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	g := workloads.ResNet50()
-	if _, err := Simulate(c, g, 0, DefaultOptions()); err == nil {
+	if _, err := SimulateCtx(context.Background(), c, g, 0, DefaultOptions()); err == nil {
 		t.Errorf("batch 0 must fail")
 	}
 	bad := *g
 	bad.Layers = nil
-	if _, err := Simulate(c, &bad, 1, DefaultOptions()); err == nil {
+	if _, err := SimulateCtx(context.Background(), c, &bad, 1, DefaultOptions()); err == nil {
 		t.Errorf("empty graph must fail")
 	}
 }
@@ -49,7 +50,7 @@ func TestSimulateValidation(t *testing.T) {
 func TestBasicInvariants(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, g := range workloads.All() {
-		r, err := Simulate(c, g, 4, DefaultOptions())
+		r, err := SimulateCtx(context.Background(), c, g, 4, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -75,11 +76,11 @@ func TestBatchImprovesThroughput(t *testing.T) {
 	// Fig. 9: throughput grows significantly from batch 1 to 64.
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, g := range workloads.All() {
-		r1, err := Simulate(c, g, 1, DefaultOptions())
+		r1, err := SimulateCtx(context.Background(), c, g, 1, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r64, err := Simulate(c, g, 64, DefaultOptions())
+		r64, err := SimulateCtx(context.Background(), c, g, 64, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +99,11 @@ func TestSoftwareOptimizationsHelp(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, g := range workloads.All() {
 		for _, bs := range []int{1, 16} {
-			on, err := Simulate(c, g, bs, DefaultOptions())
+			on, err := SimulateCtx(context.Background(), c, g, bs, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := Simulate(c, g, bs, NoOptimizations())
+			off, err := SimulateCtx(context.Background(), c, g, bs, NoOptimizations())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,10 +113,10 @@ func TestSoftwareOptimizationsHelp(t *testing.T) {
 			}
 		}
 		// The gain is larger at batch 1 than at a large batch (Fig. 7 shape).
-		on1, _ := Simulate(c, g, 1, DefaultOptions())
-		off1, _ := Simulate(c, g, 1, NoOptimizations())
-		on256, _ := Simulate(c, g, 256, DefaultOptions())
-		off256, _ := Simulate(c, g, 256, NoOptimizations())
+		on1, _ := SimulateCtx(context.Background(), c, g, 1, DefaultOptions())
+		off1, _ := SimulateCtx(context.Background(), c, g, 1, NoOptimizations())
+		on256, _ := SimulateCtx(context.Background(), c, g, 256, DefaultOptions())
+		off256, _ := SimulateCtx(context.Background(), c, g, 256, NoOptimizations())
 		gain1 := on1.FPS / off1.FPS
 		gain256 := on256.FPS / off256.FPS
 		if gain1 <= gain256*0.8 {
@@ -131,11 +132,11 @@ func TestWimpyHigherUtilBrawnyHigherThroughput(t *testing.T) {
 	wimpy := dcPoint(t, 8, 4, 4, 8)
 	var brawnyTOPS, wimpyTOPS, brawnyUtil, wimpyUtil float64
 	for _, g := range workloads.All() {
-		rb, err := Simulate(brawny, g, 1, DefaultOptions())
+		rb, err := SimulateCtx(context.Background(), brawny, g, 1, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rw, err := Simulate(wimpy, g, 1, DefaultOptions())
+		rw, err := SimulateCtx(context.Background(), wimpy, g, 1, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,11 +161,11 @@ func TestEfficiencyThroughputTradeoff(t *testing.T) {
 	eff := dcPoint(t, 64, 4, 1, 2)
 	var thrTOPS, effTOPS, thrCost, effCost float64
 	for _, g := range workloads.All() {
-		rt, err := Simulate(thr, g, 1, DefaultOptions())
+		rt, err := SimulateCtx(context.Background(), thr, g, 1, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := Simulate(eff, g, 1, DefaultOptions())
+		re, err := SimulateCtx(context.Background(), eff, g, 1, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestLatencyLimitedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, r, err := LatencyLimitedBatch(c, g, 10e-3, DefaultOptions())
+		batch, r, err := LatencyLimitedBatchCtx(context.Background(), c, g, 10e-3, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestRTChipRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(c, workloads.ResNet50(), 1, DefaultOptions()); err == nil {
+	if _, err := SimulateCtx(context.Background(), c, workloads.ResNet50(), 1, DefaultOptions()); err == nil {
 		t.Errorf("RT-only chips must be rejected (they use the sparse roofline)")
 	}
 }
@@ -229,7 +230,7 @@ func TestRuntimePowerBelowTDP(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, bs := range []int{1, 64, 256} {
 		for _, g := range workloads.All() {
-			r, err := Simulate(c, g, bs, DefaultOptions())
+			r, err := SimulateCtx(context.Background(), c, g, bs, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +245,7 @@ func TestRuntimePowerBelowTDP(t *testing.T) {
 
 func TestLayersCSVAndSummary(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
-	r, err := Simulate(c, workloads.ResNet50(), 2, DefaultOptions())
+	r, err := SimulateCtx(context.Background(), c, workloads.ResNet50(), 2, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestLayersCSVEscaping(t *testing.T) {
 
 func TestActivityTrace(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
-	r, err := Simulate(c, workloads.ResNet50(), 4, DefaultOptions())
+	r, err := SimulateCtx(context.Background(), c, workloads.ResNet50(), 4, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

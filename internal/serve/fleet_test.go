@@ -27,7 +27,7 @@ func tinyShard(t *testing.T) dse.Shard {
 	cs.XChoices = []int{64}
 	cs.NChoices = []int{2}
 	cs.MaxTiles = 16
-	cands := dse.EnumerateCtx(context.Background(), cs)
+	cands := dse.EnumerateParallel(context.Background(), cs, 1)
 	if len(cands) < 2 {
 		t.Fatalf("tiny constraint set enumerated %d candidates, want >= 2", len(cands))
 	}

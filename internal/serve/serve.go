@@ -424,11 +424,16 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	return http.StatusOK, newSimulateResponse(c, g.Name, res), nil
+}
+
+// newSimulateResponse summarizes one simulation of workload on c.
+func newSimulateResponse(c *chip.Chip, workload string, res *perfsim.Result) SimulateResponse {
 	e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)
-	return http.StatusOK, SimulateResponse{
+	return SimulateResponse{
 		Chip:         c.Cfg.Name,
-		Workload:     g.Name,
-		Batch:        batch,
+		Workload:     workload,
+		Batch:        res.Batch,
 		FPS:          res.FPS,
 		LatencyMS:    res.LatencySec * 1e3,
 		AchievedTOPS: res.AchievedTOPS,
@@ -436,7 +441,7 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 		PowerW:       e.PowerW,
 		TOPSPerWatt:  e.TOPSPerWatt,
 		TOPSPerTCO:   e.TOPSPerTCO,
-	}, nil
+	}
 }
 
 // ---- /v1/perfsim/simulate-batch -------------------------------------------
@@ -450,7 +455,8 @@ const maxBatchConfigs = 256
 
 // SimulateBatchRequest evaluates one workload at one batch size across many
 // candidate chips in a single call. The workload graph is validated and
-// prepared once and shared by every candidate (perfsim.SimulateBatch).
+// prepared once and shared by every candidate (perfsim.Prepare, then one
+// (*Prepared).SimulateInto per candidate into one scratch Result).
 type SimulateBatchRequest struct {
 	Workload string           `json:"workload"`
 	Batch    int              `json:"batch"`
@@ -510,57 +516,33 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 	if batch == 0 {
 		batch = 1
 	}
+	if batch < 0 {
+		return 0, nil, guard.Invalid("perfsim: batch must be positive, got %d", batch)
+	}
 	resp := SimulateBatchResponse{
 		Workload: g.Name,
 		Batch:    batch,
 		Results:  make([]SimulateBatchEntry, len(req.Configs)),
 	}
-	// Resolve every candidate chip first; a config that does not build is a
-	// per-entry failure and its slot stays nil through the batch (perfsim
-	// skips nothing — a nil chip fails candidate validation — but the build
-	// error recorded here wins).
-	chips := make([]*chip.Chip, len(req.Configs))
+	// A config that does not build fails its own entry, as does a failed
+	// simulation; each result is summarized out of the scratch before the
+	// next candidate overwrites it. The ctx is checked between candidates.
+	var res perfsim.Result
 	for i, cr := range req.Configs {
-		c, rerr := cr.resolve()
-		if rerr != nil {
-			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(rerr), Err: rerr.Error()}
-			continue
+		if err := guard.CtxErr(r.Context()); err != nil {
+			return 0, nil, err
 		}
-		chips[i] = c
-	}
-	br, err := p.SimulateBatch(r.Context(), batch, opt, chips)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer br.Release()
-	for i := range resp.Results {
-		if resp.Results[i].Err != "" {
-			continue // config never built; keep the build error
+		c, err := cr.resolve()
+		if err == nil {
+			err = p.SimulateInto(r.Context(), c, batch, opt, &res)
 		}
-		if serr := br.Errs[i]; serr != nil {
-			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(serr), Err: serr.Error()}
-			continue
-		}
-		res := &br.Results[i]
-		c := chips[i]
-		e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)
-		resp.Results[i].Result = &SimulateResponse{
-			Chip:         c.Cfg.Name,
-			Workload:     g.Name,
-			Batch:        batch,
-			FPS:          res.FPS,
-			LatencyMS:    res.LatencySec * 1e3,
-			AchievedTOPS: res.AchievedTOPS,
-			Utilization:  res.Utilization,
-			PowerW:       e.PowerW,
-			TOPSPerWatt:  e.TOPSPerWatt,
-			TOPSPerTCO:   e.TOPSPerTCO,
-		}
-	}
-	for _, en := range resp.Results {
-		if en.Err != "" {
+		if err != nil {
+			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(err), Err: err.Error()}
 			resp.Failed++
+			continue
 		}
+		sr := newSimulateResponse(c, g.Name, &res)
+		resp.Results[i].Result = &sr
 	}
 	return http.StatusOK, resp, nil
 }

@@ -130,24 +130,22 @@ func Workloads() []*Graph { return workloads.All() }
 // "after optimization" configuration of Fig. 7).
 func DefaultSimOptions() SimOptions { return perfsim.DefaultOptions() }
 
-// Simulate runs one batch of the workload through the chip with the
+// SimulateCtx runs one batch of the workload through the chip with the
 // bundled tile-level performance simulator and returns throughput, latency,
-// utilization and the activity factors for runtime-power analysis.
-func Simulate(c *Chip, g *Graph, batch int, opt SimOptions) (*SimResult, error) {
-	return perfsim.Simulate(c, g, batch, opt)
-}
-
-// SimulateCtx is Simulate with observability: spans started inside the
-// simulator (per graph, per layer) nest under any internal/obs span carried
-// by ctx.
+// utilization, per-layer stats and the activity factors for runtime-power
+// analysis. Spans started inside the simulator (per graph, per layer) nest
+// under any internal/obs span carried by ctx, and a canceled or expired
+// ctx stops the simulation between layers.
 func SimulateCtx(ctx context.Context, c *Chip, g *Graph, batch int, opt SimOptions) (*SimResult, error) {
 	return perfsim.SimulateCtx(ctx, c, g, batch, opt)
 }
 
-// LatencyLimitedBatch finds the largest power-of-two batch size whose batch
-// latency meets the bound (the paper's 10 ms datacenter SLO analysis).
-func LatencyLimitedBatch(c *Chip, g *Graph, latencyBound float64, opt SimOptions) (int, *SimResult, error) {
-	return perfsim.LatencyLimitedBatch(c, g, latencyBound, opt)
+// LatencyLimitedBatchCtx finds the largest power-of-two batch size whose
+// batch latency meets the bound (the paper's 10 ms datacenter SLO
+// analysis), or batch 1 when even that misses it, and returns it with its
+// simulation result.
+func LatencyLimitedBatchCtx(ctx context.Context, c *Chip, g *Graph, latencyBound float64, opt SimOptions) (int, *SimResult, error) {
+	return perfsim.LatencyLimitedBatchCtx(ctx, c, g, latencyBound, opt)
 }
 
 // Sparse-study surface (§IV / Fig. 11).

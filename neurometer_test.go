@@ -1,6 +1,7 @@
 package neurometer
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -75,7 +76,7 @@ func TestPublicSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(c, g, 4, DefaultSimOptions())
+	res, err := SimulateCtx(context.Background(), c, g, 4, DefaultSimOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPublicSimulate(t *testing.T) {
 	if eff.TOPSPerWatt <= 0 || eff.PowerW >= c.TDPW() {
 		t.Errorf("bad efficiency: %+v", eff)
 	}
-	batch, r2, err := LatencyLimitedBatch(c, g, 10e-3, DefaultSimOptions())
+	batch, r2, err := LatencyLimitedBatchCtx(context.Background(), c, g, 10e-3, DefaultSimOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
