@@ -18,15 +18,15 @@
 //
 // Robustness flags (see the README's Failure model section):
 //
-//	-checkpoint p        record -fig 10 sweep progress at p.<regime>.json
-//	-resume              continue an interrupted sweep from -checkpoint
 //	-candidate-timeout d per-candidate evaluation deadline (e.g. 30s)
 //	-retries n           retry timed-out candidates up to n times
 //	-result-store dir    persistent content-addressed result cache for the
 //	                -fig 10 sweep: verified read-through (checksum +
 //	                fingerprint + finiteness), corrupt entries quarantined,
 //	                every store fault degrades to evaluation — output is
-//	                byte-identical with or without the store
+//	                byte-identical with or without the store. Rows are
+//	                stored as candidates complete, so rerunning an
+//	                interrupted sweep with the same -result-store resumes it
 //
 // Parallelism and export (see DESIGN.md §9):
 //
@@ -50,8 +50,9 @@
 //	                (non-positive lease, hedge ≥ lease, attempts < 1) fail
 //	                fast at startup with exit 2
 //
-// SIGINT interrupts a sweep gracefully: in-flight state is flushed to the
-// checkpoint (when armed) and the process exits with kind=canceled.
+// SIGINT interrupts a sweep gracefully: in-flight candidates unwind, the
+// rows completed so far are already in the -result-store (when set), and
+// the process exits with kind=canceled.
 //
 // Exit codes: 0 success; 2 invalid config or infeasible study; 130
 // canceled (SIGINT); 1 any other failure.
@@ -78,14 +79,12 @@ import (
 
 // hardenFlags carries the robustness and parallelism flag values into run.
 type hardenFlags struct {
-	checkpoint string
-	resume     bool
-	timeout    time.Duration
-	retries    int
-	workers    int
-	block      int
-	csv        string
-	store      string
+	timeout time.Duration
+	retries int
+	workers int
+	block   int
+	csv     string
+	store   string
 
 	fleet         string
 	fleetShard    int
@@ -123,14 +122,12 @@ func main() {
 	fig := flag.Int("fig", 10, "figure to reproduce: 7, 8, 9 or 10; 0 = ablation studies; -1 = edge-scenario sweep")
 	full := flag.Bool("full", false, "evaluate the full feasible set instead of the frontier")
 	var hf hardenFlags
-	flag.StringVar(&hf.checkpoint, "checkpoint", "", "checkpoint path prefix for the -fig 10 sweep (one file per batch regime)")
-	flag.BoolVar(&hf.resume, "resume", false, "resume from an existing -checkpoint instead of failing on it")
 	flag.DurationVar(&hf.timeout, "candidate-timeout", 0, "per-candidate evaluation deadline (0 = unbounded)")
 	flag.IntVar(&hf.retries, "retries", 0, "retries for retryable (timed-out) candidate failures")
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
 	flag.IntVar(&hf.block, "block", 0, "candidates claimed per worker at a time in the -fig 10 sweep (0 = default; output is identical at any size)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
-	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation)")
+	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation; an interrupted sweep resumes from it)")
 	flag.StringVar(&hf.fleet, "fleet", "", "comma-separated neurometerd worker URLs: distribute the -fig 10 sweep across them")
 	flag.IntVar(&hf.fleetShard, "fleet-shard-size", fleet.DefaultShardSize, "candidates per fleet shard")
 	flag.DurationVar(&hf.fleetLease, "fleet-lease", fleet.DefaultLeaseTTL, "per-shard lease TTL before requeue")
@@ -152,16 +149,16 @@ func main() {
 		}
 	}
 	// SIGINT cancels the run context; the sweep loops notice it between
-	// candidates (and inside perfsim between layers), flush any armed
-	// checkpoint, and unwind with guard.ErrCanceled.
+	// candidates (and inside perfsim between layers) and unwind with
+	// guard.ErrCanceled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	runErr := run(ctx, os.Stdout, *fig, *full, hf)
 	stopSignals()
 	stop() // flush profiles/trace/metrics before any exit
 	if runErr != nil {
 		guard.PrintErr("dse", runErr)
-		if errors.Is(runErr, guard.ErrCanceled) && hf.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "dse: progress saved; rerun with -resume -checkpoint %s to continue\n", hf.checkpoint)
+		if errors.Is(runErr, guard.ErrCanceled) && hf.store != "" {
+			fmt.Fprintf(os.Stderr, "dse: progress saved; rerun with the same -result-store %s to continue\n", hf.store)
 		}
 		// 2 = invalid/infeasible, 130 = canceled (SIGINT), 1 = anything else.
 		os.Exit(guard.ExitCode(runErr))
@@ -172,20 +169,6 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 	ctx, root := obs.Start(ctx, "dse.run")
 	root.SetInt("fig", int64(fig))
 	defer root.End()
-
-	if hf.resume && hf.checkpoint == "" {
-		return guard.Invalid("dse: -resume requires -checkpoint")
-	}
-	if hf.checkpoint != "" && !hf.resume {
-		// Refuse to silently merge with a leftover checkpoint: the user
-		// either resumes it explicitly or removes it.
-		for _, regime := range dse.Fig10Regimes {
-			p := hf.checkpoint + "." + regime + ".json"
-			if _, err := os.Stat(p); err == nil {
-				return guard.Invalid("dse: checkpoint %s already exists; pass -resume to continue it or remove it", p)
-			}
-		}
-	}
 
 	cs := dse.TableI()
 	switch fig {
@@ -260,7 +243,7 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 			h.Results = rstore.NewCache(st)
 			defer h.Results.Close()
 		}
-		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), h, hf.checkpoint)
+		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), h, "")
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,10 @@
 // Command neurometerd serves the NeuroMeter models over HTTP with the
 // robustness envelope described in DESIGN.md §10: admission control and
 // load shedding, per-request deadlines, panic containment, a degraded-
-// readiness watchdog, and crash-safe DSE study jobs that resume from their
-// checkpoints after a restart.
+// readiness watchdog, and crash-safe DSE study jobs that resume from the
+// result store after a restart.
 //
-//	neurometerd -addr :8080 -jobs-dir /var/lib/neurometer/jobs
+//	neurometerd -addr :8080 -result-store /var/lib/neurometer/store
 //
 // Endpoints:
 //
@@ -30,12 +30,14 @@
 // endpoint. Entries are verified on every read (checksum, fingerprint,
 // finiteness); corrupt or torn entries are quarantined under
 // dir/quarantine and recomputed, so a damaged store can slow the daemon
-// down but never change a result or take it down.
+// down but never change a result or take it down. The store is also what
+// makes study jobs survive a restart: every completed candidate is stored
+// as it finishes, so resubmitting an interrupted job resumes from store
+// hits. Without -result-store, jobs do not survive a restart.
 //
 // SIGTERM and SIGINT begin a graceful drain: the listener closes, in-flight
-// requests finish, running study jobs are canceled and flush their
-// checkpoints, and the process exits 0 within -drain-timeout (exit 1 if the
-// drain deadline expires first).
+// requests finish, running study jobs are canceled, and the process exits 0
+// within -drain-timeout (exit 1 if the drain deadline expires first).
 package main
 
 import (
@@ -73,8 +75,7 @@ func main() {
 	degradedAfter := flag.Int("degraded-after", def.DegradedAfter, "consecutive 5xx responses before /readyz reports degraded (negative disables)")
 	workers := flag.Int("workers", 0, "study evaluation workers (0 = GOMAXPROCS)")
 	workerLimit := flag.Int("worker-limit", def.WorkerLimit, "max concurrent /v1/worker/eval shard evaluations")
-	jobsDir := flag.String("jobs-dir", "", "directory for study-job checkpoints (empty: jobs do not survive restarts)")
-	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory shared by studies and /v1/worker/eval (empty disables; corrupt entries are quarantined and recomputed)")
+	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory shared by studies and /v1/worker/eval; interrupted study jobs resume from it (empty disables: jobs do not survive restarts; corrupt entries are quarantined and recomputed)")
 	retryJitter := flag.Int("retry-after-jitter", def.RetryAfterJitter, "seconds of uniform jitter added to Retry-After on 429 (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
 	fleetWorkers := flag.String("fleet", "", "comma-separated worker URLs; coordinator mode: shard study jobs across them (workers may also join at runtime)")
@@ -121,7 +122,6 @@ func main() {
 		DegradedAfter:    *degradedAfter,
 		Workers:          *workers,
 		WorkerLimit:      *workerLimit,
-		JobsDir:          *jobsDir,
 		RetryAfterJitter: *retryJitter,
 		SlowRequest:      *slowRequest,
 	}
@@ -244,11 +244,6 @@ func splitWorkers(s string) []string {
 
 // run serves until SIGTERM/SIGINT, then drains within drainTimeout.
 func run(cfg serve.Config, addr string, drainTimeout time.Duration) error {
-	if cfg.JobsDir != "" {
-		if err := os.MkdirAll(cfg.JobsDir, 0o755); err != nil {
-			return fmt.Errorf("-jobs-dir: %w", err)
-		}
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -260,7 +255,7 @@ func run(cfg serve.Config, addr string, drainTimeout time.Duration) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()
-	slog.Info("neurometerd: serving", "addr", l.Addr().String(), "jobs_dir", cfg.JobsDir)
+	slog.Info("neurometerd: serving", "addr", l.Addr().String())
 
 	select {
 	case err := <-serveErr:

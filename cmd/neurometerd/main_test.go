@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"neurometer/internal/rstore"
 	"neurometer/internal/serve"
 )
 
@@ -25,9 +26,13 @@ func TestSigtermDrainsCleanly(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 
+	st, err := rstore.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(serve.Config{JobsDir: t.TempDir()}, addr, 10*time.Second)
+		done <- run(serve.Config{Results: rstore.NewCache(st)}, addr, 10*time.Second)
 	}()
 
 	base := "http://" + addr

@@ -95,7 +95,7 @@ func (r *Runner) Reference(ctx context.Context) (string, error) {
 			r.refErr = err
 			return
 		}
-		rows, err := study.Run(ctx, dse.Hardening{}, "")
+		rows, err := study.Run(ctx, dse.Hardening{})
 		if err != nil {
 			r.refErr = err
 			return
@@ -254,7 +254,7 @@ func (r *Runner) drive(ctx context.Context, sch *Schedule) (string, []string, er
 	if err != nil {
 		return "", nil, err
 	}
-	if _, err := study.Run(ctx, dse.Hardening{Results: rstore.NewCache(ds)}, ""); err != nil && sch.OutputExact() {
+	if _, err := study.Run(ctx, dse.Hardening{Results: rstore.NewCache(ds)}); err != nil && sch.OutputExact() {
 		return "", nil, fmt.Errorf("chaos: store populate run: %w", err)
 	}
 	ds.Close()
@@ -317,7 +317,7 @@ func (r *Runner) driveStudy(ctx context.Context, sch *Schedule, cache *rstore.Ca
 	if err != nil {
 		return "", nil, err
 	}
-	rows, err := study.Run(ctx, hard, "")
+	rows, err := study.Run(ctx, hard)
 	if err != nil && sch.OutputExact() {
 		return "", nil, fmt.Errorf("chaos: episode study: %w", err)
 	}

@@ -23,9 +23,8 @@
 // (EnumerateParallel) and the runtime study (Hardening.Workers) fan work
 // across a bounded goroutine pool. The engine is deterministic by
 // construction: results are collected by candidate index, not completion
-// order, and checkpoint files marshal with sorted keys — so the formatted
-// tables, CSV output and checkpoint bytes are identical at every worker
-// count, including a serial run. Workers <= 1 runs inline on the caller's
+// order — so the formatted tables, CSV output and row JSON are identical
+// at every worker count, including a serial run. Workers <= 1 runs inline on the caller's
 // goroutine (the historical serial path). Workers claim candidates in
 // blocks of Hardening.BlockSize consecutive indices (0 = DefaultBlockSize),
 // which keeps each worker's evaluation scratch and the study's prepared
@@ -35,6 +34,17 @@
 // Each study prepares its workload graphs once (perfsim.Prepare) and every
 // candidate evaluation runs into pooled result scratch, so the per-candidate
 // hot path is allocation-free in the steady state; see PERFORMANCE.md.
+//
+// # Persistence and resume
+//
+// There is one persistence format: the content-addressed result store
+// (Hardening.Results, internal/rstore). Each successful candidate row is
+// stored under CandidateFingerprint — chip config, workloads, batch regime
+// and options — as it completes. An interrupted study resumes by running
+// it again against the same store: its completed candidates are store
+// hits (dse.candidates_from_store), the rest evaluate. Failures are never
+// stored, since a fault, deadline or panic belongs to one run, not to the
+// design point; a candidate that failed evaluates again.
 //
 // Repeated chip constructions across sweeps and figure drivers hit the
 // chip.BuildCached memo; cache traffic is visible as
@@ -48,5 +58,6 @@
 // one row, never the sweep. A hardened study fails outright only when
 // every candidate fails, or when its context is canceled — in which case
 // it returns the rows completed so far alongside the classified context
-// error, after flushing any armed checkpoint so the sweep can resume.
+// error; with a result store armed those rows are already persisted, so
+// the sweep can resume.
 package dse

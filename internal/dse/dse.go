@@ -32,7 +32,6 @@ var (
 	mEvalFailures = obs.NewCounter("dse.candidate_failures")
 	mEvalRetries  = obs.NewCounter("dse.candidate_retries")
 	mEvalPanics   = obs.NewCounter("dse.candidate_panics")
-	mResumed      = obs.NewCounter("dse.candidates_resumed")
 	mRemote       = obs.NewCounter("dse.candidates_remote")
 	mEvalLatency  = obs.NewHistogram("dse.candidate_eval_seconds", nil)
 )
@@ -362,8 +361,8 @@ type RuntimeRow struct {
 }
 
 // Hardening configures the fault-tolerance envelope of a runtime study.
-// The zero value means: no per-candidate deadline, no retries, no
-// checkpoint, serial evaluation.
+// The zero value means: no per-candidate deadline, no retries, no result
+// store, serial evaluation.
 type Hardening struct {
 	// CandidateTimeout bounds each candidate's evaluation across the whole
 	// workload set; 0 = unbounded. An expired deadline fails the candidate
@@ -373,14 +372,6 @@ type Hardening struct {
 	// (guard.Retryable — timeouts). Validation errors, infeasibility,
 	// non-finite results, and panics are deterministic and never retried.
 	MaxRetries int
-	// Checkpoint, when non-nil, makes the study resumable: every
-	// candidate outcome (row or failure) is recorded and flushed as it
-	// completes, and already-recorded candidates replay from the
-	// checkpoint instead of re-simulating. Because the simulator is
-	// deterministic and the checkpoint stores exact float64 values, a
-	// resumed study produces byte-identical output to an uninterrupted
-	// one.
-	Checkpoint *Checkpoint
 	// Workers bounds the evaluation pool: <= 1 (and the zero value) runs
 	// candidates serially on the caller's goroutine — the historical
 	// behavior — and DefaultWorkers resolves to GOMAXPROCS. Results are
@@ -395,16 +386,16 @@ type Hardening struct {
 	// which worker evaluates which candidate — results are collected by
 	// index, so output is byte-identical at any (Workers, BlockSize) pair.
 	BlockSize int
-	// Dispatch, when non-nil, is offered the pending (not checkpointed)
+	// Dispatch, when non-nil, is offered the pending (not stored)
 	// candidates before the local pool runs: it evaluates whatever it can
 	// remotely — fleet.Coordinator.Dispatch shards them across workers —
 	// and reports resolved outcomes through its callback (safe to call
 	// from any goroutine). Candidates it leaves unreported fall through to
 	// local in-process evaluation, so losing every remote worker degrades
 	// the study, never fails it. Because remote evaluation is
-	// deterministic and outcomes merge by candidate index through the same
-	// checkpoint machinery, output stays byte-identical at any fleet size
-	// and any failure schedule.
+	// deterministic and outcomes merge by candidate index exactly like
+	// local ones, output stays byte-identical at any fleet size and any
+	// failure schedule.
 	Dispatch func(ctx context.Context, sh Shard, report func(ShardOutcome))
 	// Results, when non-nil, is the persistent content-addressed result
 	// store: pending candidates are looked up (fully verified — envelope
@@ -415,16 +406,23 @@ type Hardening struct {
 	// study runs byte-identically with a cold, warm, poisoned, or absent
 	// store. A nil Cache (including rstore.NewCache(nil)) disables all of
 	// this.
+	//
+	// The store is also how a study resumes: every successful row is
+	// persisted as it completes, so rerunning an interrupted study against
+	// the same store turns its completed candidates into store hits. JSON
+	// float encoding is round-trip exact and the simulator deterministic,
+	// so the resumed output is byte-identical to an uninterrupted run.
+	// Failures are not stored — they can depend on the run (injected
+	// faults, deadlines, panics) — so a failed candidate re-evaluates.
 	Results *rstore.Cache
 }
 
 // outcome is one candidate's resolved result, held in an index-addressed
 // slice until assembly so output order never depends on completion order.
 type outcome struct {
-	row     RuntimeRow
-	err     error
-	done    bool // evaluated or replayed (false = skipped by cancellation)
-	resumed bool // replayed from the checkpoint
+	row  RuntimeRow
+	err  error
+	done bool // resolved (false = skipped by cancellation)
 }
 
 // RuntimeStudyHardened simulates every candidate on the workload set under
@@ -436,7 +434,7 @@ type outcome struct {
 //
 // Every workload graph is validated and prepared once, up front: a model
 // that fails perfsim.Prepare fails the whole study (guard.ErrInvalidConfig)
-// before any checkpoint, store, dispatch or evaluation work starts.
+// before any store, dispatch or evaluation work starts.
 //
 // A failing candidate does not abort the sweep: per candidate the study
 // recovers panics (guard.ErrCandidatePanic), enforces the deadline,
@@ -445,14 +443,13 @@ type outcome struct {
 // the dse.candidate_failures metric, logged, and the candidate is skipped;
 // the joined failure errors are returned only when every candidate failed
 // (no rows survived). A canceled sweep ctx stops new evaluations, lets
-// in-flight workers unwind, flushes the checkpoint, and returns the rows
-// completed so far along with the classified cause (guard.ErrCanceled /
-// guard.ErrTimeout).
+// in-flight workers unwind, and returns the rows completed so far along
+// with the classified cause (guard.ErrCanceled / guard.ErrTimeout); with
+// h.Results armed those rows are already persisted, so a rerun resumes.
 //
 // Determinism: rows and failures are assembled in candidate order whatever
-// the worker count, the checkpoint file serializes its outcome maps with
-// sorted keys, and each candidate's evaluation is single-threaded — so a
-// parallel, a serial, and a resumed run of the same study all emit
+// the worker count, and each candidate's evaluation is single-threaded —
+// so a parallel, a serial, and a resumed run of the same study all emit
 // byte-identical output.
 func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options, h Hardening) ([]RuntimeRow, error) {
 	ctx, span := obs.Start(ctx, "dse.runtime-study")
@@ -469,32 +466,17 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		return nil, fmt.Errorf("dse: runtime study: %w", err)
 	}
 
-	// Replay checkpointed outcomes up front (cheap map lookups); only the
-	// remainder enters the pool.
 	outs := make([]outcome, len(cands))
-	var pending []int
-	for i, cand := range cands {
-		if h.Checkpoint != nil {
-			if row, ok := h.Checkpoint.Lookup(cand.Point); ok {
-				outs[i] = outcome{row: row, done: true, resumed: true}
-				continue
-			}
-			if ferr, ok := h.Checkpoint.LookupFailure(cand.Point); ok {
-				outs[i] = outcome{err: ferr, done: true, resumed: true}
-				continue
-			}
-		}
-		pending = append(pending, i)
+	pending := make([]int, len(cands))
+	for i := range pending {
+		pending[i] = i
 	}
 
-	// Store phase: satisfy the remaining candidates from the persistent
-	// result store before any evaluation — local or remote — is scheduled.
-	// A hit is recorded to the checkpoint exactly like an evaluated
-	// outcome, so an interrupted warm run resumes identically to an
-	// interrupted cold one, and the checkpoint file stays byte-identical
-	// either way (it stores the same row values).
+	// Store phase: satisfy candidates from the persistent result store
+	// before any evaluation — local or remote — is scheduled. This is also
+	// the resume path: an interrupted run persisted every row it completed.
 	names := modelNames(models)
-	if h.Results != nil && len(pending) > 0 {
+	if h.Results != nil {
 		hits := 0
 		remaining := pending[:0]
 		for _, i := range pending {
@@ -502,18 +484,10 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 			fp := CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
 			if row, ok := lookupStoredRow(ctx, h.Results, fp, cand.Point); ok {
 				outs[i] = outcome{row: row, done: true}
-				if h.Checkpoint != nil {
-					h.Checkpoint.Record(cand.Point, row)
-				}
 				hits++
 				continue
 			}
 			remaining = append(remaining, i)
-		}
-		if hits > 0 && h.Checkpoint != nil {
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
 		}
 		span.SetInt("store_hits", int64(hits))
 		pending = remaining
@@ -521,7 +495,7 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 
 	// Remote phase: offer the pending candidates to the dispatcher. Its
 	// report callback lands outcomes exactly where a local evaluation
-	// would — the outs slice and the checkpoint — so the assembly below
+	// would — the outs slice — so the assembly below
 	// cannot tell (and the output bytes do not reflect) where a candidate
 	// ran. Whatever the dispatcher could not resolve stays pending for the
 	// local pool.
@@ -558,16 +532,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 				}
 			}
 			mRemote.Inc()
-			if h.Checkpoint != nil {
-				if err != nil {
-					h.Checkpoint.RecordFailure(cand.Point, err)
-				} else {
-					h.Checkpoint.Record(cand.Point, *o.Row)
-				}
-				if ferr := h.Checkpoint.Flush(); ferr != nil {
-					slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-				}
-			}
 		})
 		remaining := pending[:0]
 		for _, i := range pending {
@@ -616,16 +580,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 			slog.WarnContext(cctx, "dse: candidate failed, skipping",
 				"point", cand.Point.String(), "kind", guard.Kind(err), "err", err)
 		}
-		if h.Checkpoint != nil {
-			if err != nil {
-				h.Checkpoint.RecordFailure(cand.Point, err)
-			} else {
-				h.Checkpoint.Record(cand.Point, row)
-			}
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
-		}
 	})
 
 	// Assemble in candidate order — identical to the serial walk.
@@ -636,9 +590,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		if !o.done {
 			continue
 		}
-		if o.resumed {
-			mResumed.Inc()
-		}
 		if o.err != nil {
 			failures = append(failures, o.err)
 			continue
@@ -646,11 +597,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		rows = append(rows, o.row)
 	}
 	if poolErr != nil {
-		if h.Checkpoint != nil {
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
-		}
 		slog.WarnContext(ctx, "dse: runtime study interrupted",
 			"done", len(rows), "total", len(cands), "err", poolErr)
 		return rows, poolErr

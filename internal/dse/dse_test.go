@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"strings"
 	"testing"
@@ -130,6 +131,115 @@ func TestSecondRoundPrunesLowPerf(t *testing.T) {
 	for _, c := range pruned {
 		if c.Point.X == 4 {
 			t.Errorf("4x4 designs should be pruned (paper: <1/12 peak): %s", c.Point)
+		}
+	}
+}
+
+// TestFrontierAndSecondRoundMatchBruteForceOracle checks both reductions
+// against a brute-force oracle, over the Table I feasible set and over a
+// crowded set built from it. On Table I every (X, N, bin) key holds one
+// grid, so the frontier is the whole feasible set. The crowded set adds
+// two synthetic siblings per candidate on other grids: one with TOPS/TCO
+// halved, one with TOPS/TCO doubled and peak TOPS scaled to 0.55× (between
+// the 0.5× and 0.6× bin edges). That makes the per-key maximum a real
+// choice and pins the bin edge. Frontier reads only Point, PeakTOPS and
+// PeakTOPSPerTCO, so the siblings need no chip.
+func TestFrontierAndSecondRoundMatchBruteForceOracle(t *testing.T) {
+	topsCap := TableI().TOPSCap
+	checkFrontierOracle(t, "Table I", sweep, topsCap, false)
+
+	var crowded []Candidate
+	for _, c := range sweep {
+		lo, hi := c, c
+		lo.Point.Tx, lo.PeakTOPSPerTCO = c.Point.Tx*16, c.PeakTOPSPerTCO/2
+		hi.Point.Ty, hi.PeakTOPSPerTCO, hi.PeakTOPS = c.Point.Ty*16, c.PeakTOPSPerTCO*2, c.PeakTOPS*0.55
+		crowded = append(crowded, lo, c, hi)
+	}
+	checkFrontierOracle(t, "crowded", crowded, topsCap, true)
+}
+
+// checkFrontierOracle derives each candidate's peak-TOPS bin independently
+// of Frontier's halving loop — bin k of 0..3 is occupied while PeakTOPS is
+// at most 0.6 × topsCap/2^k — then scans every candidate per occupied
+// (X, N, bin) key. Frontier must keep exactly one candidate per occupied
+// key, drawn from that key's group, with the group's maximal TOPS/TCO, in
+// presentation order. SecondRound must equal a plain order-preserving
+// filter on both the input and the frontier. crowded requires some key to
+// hold more than one candidate, so the maximum is actually exercised.
+func checkFrontierOracle(t *testing.T, name string, cands []Candidate, topsCap float64, crowded bool) {
+	t.Helper()
+	type key struct{ x, n, bin int }
+	keyOf := func(c Candidate) key {
+		bin := 0
+		for k := 0; k < 4; k++ {
+			if c.PeakTOPS <= 0.6*topsCap/float64(int(1)<<k) {
+				bin++
+			}
+		}
+		return key{c.Point.X, c.Point.N, bin}
+	}
+	occupied := map[key][]Candidate{}
+	for _, c := range cands {
+		occupied[keyOf(c)] = append(occupied[keyOf(c)], c)
+	}
+	if crowded == (len(occupied) == len(cands)) {
+		t.Fatalf("%s: %d keys over %d candidates, crowded=%v", name, len(occupied), len(cands), crowded)
+	}
+
+	fr := Frontier(cands, topsCap)
+	if len(fr) != len(occupied) {
+		t.Fatalf("%s: frontier has %d candidates, oracle has %d occupied keys", name, len(fr), len(occupied))
+	}
+	seen := map[key]bool{}
+	for _, f := range fr {
+		k := keyOf(f)
+		group, ok := occupied[k]
+		if !ok {
+			t.Fatalf("%s: frontier candidate %s has unoccupied key %+v", name, f.Point, k)
+		}
+		if seen[k] {
+			t.Fatalf("%s: frontier keeps two candidates for key %+v", name, k)
+		}
+		seen[k] = true
+		member := false
+		for _, c := range group {
+			if c.Point == f.Point && c.PeakTOPSPerTCO == f.PeakTOPSPerTCO {
+				member = true
+			}
+			if c.PeakTOPSPerTCO > f.PeakTOPSPerTCO {
+				t.Errorf("%s: key %+v: frontier kept %s (TOPS/TCO %g) but %s has %g",
+					name, k, f.Point, f.PeakTOPSPerTCO, c.Point, c.PeakTOPSPerTCO)
+			}
+		}
+		if !member {
+			t.Errorf("%s: frontier candidate %s is not in its key's group", name, f.Point)
+		}
+	}
+	for i := 1; i < len(fr); i++ {
+		a, b := fr[i-1], fr[i]
+		if a.PeakTOPS < b.PeakTOPS ||
+			(a.PeakTOPS == b.PeakTOPS && (a.Point.X < b.Point.X ||
+				(a.Point.X == b.Point.X && a.Point.Tiles() > b.Point.Tiles()))) {
+			t.Errorf("%s: frontier out of presentation order at %d: %s before %s", name, i, a.Point, b.Point)
+		}
+	}
+
+	filter := func(in []Candidate) []Point {
+		var out []Point
+		for _, c := range in {
+			if c.PeakTOPS >= topsCap/12 && c.Point.X >= 8 {
+				out = append(out, c.Point)
+			}
+		}
+		return out
+	}
+	for set, in := range map[string][]Candidate{"input": cands, "frontier": fr} {
+		var got []Point
+		for _, c := range SecondRound(in, topsCap) {
+			got = append(got, c.Point)
+		}
+		if want := filter(in); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s %s: SecondRound = %v, plain filter = %v", name, set, got, want)
 		}
 	}
 }

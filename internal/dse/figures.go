@@ -7,6 +7,7 @@ import (
 
 	"neurometer/internal/chip"
 	"neurometer/internal/graph"
+	"neurometer/internal/guard"
 	"neurometer/internal/pat"
 	"neurometer/internal/perfsim"
 )
@@ -139,12 +140,18 @@ var Fig10Regimes = []string{"a-small", "b-medium", "c-large"}
 // Fig10Hardened runs the three batch regimes of Fig. 10 over the candidate
 // set — (a) batch 1, (b) 10ms-latency-limited batch, (c) batch 256 — as
 // one RuntimeStudyHardened each under the hardening envelope h, with one
-// span per regime study. A non-empty
-// checkpointPath stores one checkpoint per batch regime at
-// <checkpointPath>.<regime>.json; regimes run in Fig10Regimes order so an
-// interrupted run resumes deterministically. h.Checkpoint is ignored (each
-// regime gets its own).
+// span per regime study. Regimes run in Fig10Regimes order; an interrupted
+// run resumes through h.Results like any other study.
+//
+// checkpointPath is vestigial: resume goes through the result store
+// (Hardening.Results), and any non-empty value fails with
+// guard.ErrInvalidConfig before any evaluation. The parameter stays only
+// because the benchmark harness passes ""; it goes in the next benchmark
+// change (ROADMAP item 6).
 func Fig10Hardened(ctx context.Context, cands []Candidate, models []*graph.Graph, h Hardening, checkpointPath string) (map[string][]RuntimeRow, error) {
+	if checkpointPath != "" {
+		return nil, guard.Invalid("dse: fig10: checkpointPath %q is no longer supported; resume through the result store (Hardening.Results)", checkpointPath)
+	}
 	specs := map[string]BatchSpec{
 		"a-small":  {Fixed: 1},
 		"b-medium": {LatencyBound: 10e-3},
@@ -153,18 +160,7 @@ func Fig10Hardened(ctx context.Context, cands []Candidate, models []*graph.Graph
 	opt := perfsim.DefaultOptions()
 	out := map[string][]RuntimeRow{}
 	for _, name := range Fig10Regimes {
-		spec := specs[name]
-		hr := h
-		hr.Checkpoint = nil
-		if checkpointPath != "" {
-			ck, err := OpenCheckpoint(checkpointPath+"."+name+".json",
-				StudyFingerprint(cands, models, spec, opt))
-			if err != nil {
-				return nil, err
-			}
-			hr.Checkpoint = ck
-		}
-		rows, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, hr)
+		rows, err := RuntimeStudyHardened(ctx, cands, models, specs[name], opt, h)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", name, err)
 		}

@@ -2,10 +2,9 @@ package dse
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,11 +156,14 @@ func TestRuntimeStudyCancellationReturnsPartial(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeIsByteIdentical: an interrupted study resumes through
+// the result store — the candidate completed before the interrupt comes
+// back as a store hit, the rest evaluate, and the output is byte-identical
+// to an uninterrupted run.
 func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
 
 	// Reference: one uninterrupted run.
 	want, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{})
@@ -169,17 +171,13 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel while candidate 1 evaluates, with a
-	// checkpoint armed.
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Interrupted run: cancel while candidate 1 evaluates, with a store
+	// armed.
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, OnHit: cancel})
-	partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Checkpoint: ck})
+	partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Results: openCache(t, dir)})
 	disarm()
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run: %v", err)
@@ -187,70 +185,64 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	if len(partial) != 1 {
 		t.Fatalf("interrupted run produced %d rows, want 1", len(partial))
 	}
-	if _, serr := os.Stat(path); serr != nil {
-		t.Fatalf("checkpoint not flushed: %v", serr)
+	if n := len(storeEntryFiles(t, dir)); n != 1 {
+		t.Fatalf("store holds %d entries after the interrupt, want 1", n)
 	}
 
-	// Resume from the checkpoint file: candidate 0 replays, 1 and 2 run.
-	ck2, err := OpenCheckpoint(path, fp)
+	// Resume from the store: candidate 0 is a hit, 1 and 2 run.
+	fromStore := storeCounter("dse.candidates_from_store")
+	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		Hardening{Results: openCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2.Len() != 1 {
-		t.Fatalf("reloaded checkpoint has %d outcomes, want 1", ck2.Len())
-	}
-	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
+	if d := storeCounter("dse.candidates_from_store") - fromStore; d != 1 {
+		t.Fatalf("resume took %d candidates from the store, want 1", d)
 	}
 
 	if FormatRuntimeRows(got) != FormatRuntimeRows(want) {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- want\n%s\n--- got\n%s",
 			FormatRuntimeRows(want), FormatRuntimeRows(got))
 	}
+	wj, _ := json.Marshal(want)
+	gj, _ := json.Marshal(got)
+	if string(gj) != string(wj) {
+		t.Fatalf("resumed row JSON differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", wj, gj)
+	}
 }
 
-func TestCheckpointRejectsForeignFingerprint(t *testing.T) {
+// TestResumeReevaluatesFailedCandidates: failures are not persisted — they
+// can depend on the run (here an injected fault) — so a candidate that
+// failed in the first run evaluates again on resume and delivers its row.
+func TestResumeReevaluatesFailedCandidates(t *testing.T) {
+	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	path := filepath.Join(t.TempDir(), "study.ckpt")
+	dir := t.TempDir()
 
-	ck, err := OpenCheckpoint(path, StudyFingerprint(cands, models, spec, opt))
+	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, Count: 1,
+		Err: guard.Infeasible("injected: no feasible mapping")})
+	first, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		Hardening{Results: openCache(t, dir)})
+	disarm()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Record(cands[0].Point, RuntimeRow{Point: cands[0].Point})
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
+	if len(first) != len(cands)-1 {
+		t.Fatalf("first run: %d rows, want %d (one injected failure)", len(first), len(cands)-1)
 	}
 
-	otherSpec := BatchSpec{Fixed: 128}
-	if _, err := OpenCheckpoint(path, StudyFingerprint(cands, models, otherSpec, opt)); !errors.Is(err, guard.ErrInvalidConfig) {
-		t.Fatalf("foreign checkpoint must fail with ErrInvalidConfig, got %v", err)
-	}
-}
-
-func TestCheckpointReplaysFailures(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(ckPath, "fp")
+	fromStore := storeCounter("dse.candidates_from_store")
+	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		Hardening{Results: openCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Point{X: 8, N: 1, Tx: 1, Ty: 1}
-	ck.RecordFailure(p, guard.Infeasible("dse: testing"))
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
+	if d := storeCounter("dse.candidates_from_store") - fromStore; d != int64(len(cands)-1) {
+		t.Fatalf("resume took %d candidates from the store, want %d", d, len(cands)-1)
 	}
-	ck2, err := OpenCheckpoint(ckPath, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ferr, ok := ck2.LookupFailure(p)
-	if !ok {
-		t.Fatal("failure not recorded")
-	}
-	if !errors.Is(ferr, guard.ErrInfeasible) {
-		t.Fatalf("replayed failure %v lost its guard kind", ferr)
+	if got, want := RuntimeRowsCSV(got), studyCSV(t, Hardening{}); got != want {
+		t.Fatalf("resumed CSV differs from a clean run:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }
 
@@ -371,5 +363,31 @@ func TestStudyFailsUpFrontOnUnpreparableModel(t *testing.T) {
 	}
 	if n := st.gets.Load() + st.puts.Load(); n != 0 || evaluated() != 0 {
 		t.Errorf("shard: store accesses=%d evaluations=%d, want none", n, evaluated())
+	}
+}
+
+// TestFig10HardenedRejectsCheckpointPath: the vestigial checkpointPath
+// argument fails with ErrInvalidConfig before any candidate is evaluated.
+func TestFig10HardenedRejectsCheckpointPath(t *testing.T) {
+	defer guard.DisarmAll()
+	cands, _, _ := studyFixture(t)
+	var evaluated atomic.Int64
+	guard.Arm("dse.candidate", guard.Fault{OnHit: func() { evaluated.Add(1) }})
+	out, err := Fig10Hardened(context.Background(), cands, alexnet(t), Hardening{}, "x")
+	if !errors.Is(err, guard.ErrInvalidConfig) {
+		t.Fatalf("Fig10Hardened(..., \"x\") = %v, want ErrInvalidConfig", err)
+	}
+	if out != nil {
+		t.Fatalf("rejected call returned output: %v", out)
+	}
+	if n := evaluated.Load(); n != 0 {
+		t.Fatalf("%d candidates evaluated before the rejection, want 0", n)
+	}
+	// Control: the same call with "" evaluates, so the counter can see it.
+	if _, err := Fig10Hardened(context.Background(), cands, alexnet(t), Hardening{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if evaluated.Load() == 0 {
+		t.Fatal("the evaluation counter saw nothing on a valid call")
 	}
 }

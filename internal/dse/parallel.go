@@ -16,8 +16,8 @@ import (
 // a bounded pool of goroutines and collect results by candidate index.
 // Ordering by index (not by completion) is what keeps the engine
 // deterministic: the assembled candidate list, Frontier/SecondRound/Winner
-// inputs, CSV emission, and checkpoint files are byte-identical to a
-// serial run's, regardless of worker count or scheduling. See DESIGN.md §9
+// inputs, CSV emission, and row JSON are byte-identical to a serial run's,
+// regardless of worker count or scheduling. See DESIGN.md §9
 // for the determinism argument.
 
 // Observability: pool-level gauges in the obs default registry.

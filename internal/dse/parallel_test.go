@@ -2,16 +2,15 @@ package dse
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
 )
 
 // The determinism contract: every observable sweep artifact — candidate
-// lists, formatted tables, CSV, checkpoint files — must be byte-identical
+// lists, formatted tables, CSV, row JSON — must be byte-identical
 // at any worker count. These tests pin that contract; `go test -race`
 // additionally proves the pool itself is race-free.
 
@@ -54,30 +53,27 @@ func TestRuntimeStudyParallelByteIdentical(t *testing.T) {
 func TestRuntimeStudyParallelCheckpointBytesMatchSerial(t *testing.T) {
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
-	dir := t.TempDir()
 
-	run := func(name string, workers int) []byte {
-		path := filepath.Join(dir, name)
-		ck, err := OpenCheckpoint(path, fp)
+	// The rows' JSON is exact to the float64 bit — the bytes the result
+	// store persists per candidate — so this pins every field, not just
+	// the formatted precision of the table and CSV.
+	run := func(workers int) []byte {
+		rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+			Hardening{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-			Hardening{Checkpoint: ck, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
+		b, err := json.Marshal(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 
-	serial := run("serial.ckpt", 1)
-	par := run("parallel.ckpt", 8)
+	serial := run(1)
+	par := run(8)
 	if string(serial) != string(par) {
-		t.Fatalf("parallel checkpoint bytes differ from serial:\n--- serial\n%s\n--- parallel\n%s",
+		t.Fatalf("parallel row JSON differs from serial:\n--- serial\n%s\n--- parallel\n%s",
 			serial, par)
 	}
 }
@@ -86,7 +82,6 @@ func TestParallelCancelResumeMatchesSerial(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
 
 	// Reference: one uninterrupted serial run.
 	want, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Workers: 1})
@@ -96,31 +91,30 @@ func TestParallelCancelResumeMatchesSerial(t *testing.T) {
 
 	// Interrupted parallel run: the second candidate to start evaluation
 	// cancels the sweep. Which candidates complete first is scheduling
-	// dependent — that is the point — but the checkpoint on disk must stay
-	// valid and the resumed output must still match the serial reference.
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// dependent — that is the point — but every row it completed must be
+	// in the store, and the resumed output must still match the serial
+	// reference.
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, OnHit: cancel})
-	_, err = RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Checkpoint: ck, Workers: 8})
+	partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt,
+		Hardening{Results: openCache(t, dir), Workers: 8})
 	disarm()
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run must classify as canceled, got %v", err)
 	}
 
-	// Resume in parallel from whatever the interrupted run left behind.
-	ck2, err := OpenCheckpoint(path, fp)
+	// Resume in parallel from whatever the interrupted run left behind:
+	// exactly its completed rows come back as store hits.
+	fromStore := storeCounter("dse.candidates_from_store")
+	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		Hardening{Results: openCache(t, dir), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Checkpoint: ck2, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	if d := storeCounter("dse.candidates_from_store") - fromStore; d != int64(len(partial)) {
+		t.Fatalf("resume took %d candidates from the store, want the %d completed before the interrupt", d, len(partial))
 	}
 	if FormatRuntimeRows(got) != FormatRuntimeRows(want) {
 		t.Fatalf("resumed parallel output differs from serial reference:\n--- want\n%s\n--- got\n%s",

@@ -348,44 +348,3 @@ func TestEvalShardConsultsStore(t *testing.T) {
 		}
 	}
 }
-
-func TestStoreHitsRecordIntoCheckpoint(t *testing.T) {
-	ref := studyCSV(t, Hardening{})
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-	dir := t.TempDir()
-	studyCSV(t, Hardening{Results: openCache(t, dir)}) // warm the store
-
-	// A warm run with a checkpoint must record its store hits, so a
-	// subsequent resume replays them without touching store or simulator.
-	ckptPath := filepath.Join(t.TempDir(), "study.json")
-	fp := StudyFingerprint(cands, models, spec, opt)
-	ck, err := OpenCheckpoint(ckptPath, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Results: openCache(t, dir), Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RuntimeRowsCSV(rows) != ref {
-		t.Fatalf("warm checkpointed CSV differs from reference")
-	}
-	ck2, err := OpenCheckpoint(ckptPath, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumedBefore := storeCounter("dse.candidates_resumed")
-	rows2, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Checkpoint: ck2}) // no store this time
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RuntimeRowsCSV(rows2) != ref {
-		t.Fatalf("checkpoint-resumed CSV differs from reference")
-	}
-	if d := storeCounter("dse.candidates_resumed") - resumedBefore; d != 3 {
-		t.Fatalf("resume replayed %d candidates, want 3", d)
-	}
-}

@@ -53,7 +53,7 @@ type Shard struct {
 // ShardOutcome is one candidate's resolved result: a row, or a failure in
 // (kind, msg) form. guard.KindError reconstructs the failure coordinator-
 // side with the exact message and taxonomy class, so a remotely failed
-// candidate lands in the checkpoint byte-identically to a local failure.
+// candidate surfaces byte-identically to a local failure.
 type ShardOutcome struct {
 	Index int         `json:"index"`
 	Row   *RuntimeRow `json:"row,omitempty"`

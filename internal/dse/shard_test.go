@@ -3,8 +3,6 @@ package dse
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
@@ -59,33 +57,26 @@ func wireDispatch(t *testing.T, keep func(i int) bool, reports *[]ShardOutcome) 
 // TestShardDispatchByteIdentical is the core fleet determinism claim at the
 // dse layer: a study whose candidates are all evaluated remotely — through
 // a JSON round-trip of both the shard and its result — emits tables, CSV,
-// and checkpoint bytes identical to a plain serial run.
+// and row JSON (exact to the float64 bit) identical to a plain serial run.
 func TestShardDispatchByteIdentical(t *testing.T) {
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
-	dir := t.TempDir()
 
-	run := func(name string, dispatch func(context.Context, Shard, func(ShardOutcome))) ([]RuntimeRow, []byte) {
-		path := filepath.Join(dir, name)
-		ck, err := OpenCheckpoint(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(dispatch func(context.Context, Shard, func(ShardOutcome))) ([]RuntimeRow, []byte) {
 		rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-			Hardening{Checkpoint: ck, Workers: 1, Dispatch: dispatch})
+			Hardening{Workers: 1, Dispatch: dispatch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(path)
+		b, err := json.Marshal(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rows, b
 	}
 
-	want, wantCk := run("serial.ckpt", nil)
-	got, gotCk := run("remote.ckpt", wireDispatch(t, nil, nil))
+	want, wantJSON := run(nil)
+	got, gotJSON := run(wireDispatch(t, nil, nil))
 
 	if FormatRuntimeRows(got) != FormatRuntimeRows(want) {
 		t.Fatalf("remote rows differ from serial:\n--- serial\n%s\n--- remote\n%s",
@@ -94,9 +85,9 @@ func TestShardDispatchByteIdentical(t *testing.T) {
 	if RuntimeRowsCSV(got) != RuntimeRowsCSV(want) {
 		t.Fatalf("remote CSV differs from serial")
 	}
-	if string(gotCk) != string(wantCk) {
-		t.Fatalf("remote checkpoint bytes differ from serial:\n--- serial\n%s\n--- remote\n%s",
-			wantCk, gotCk)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("remote row JSON differs from serial:\n--- serial\n%s\n--- remote\n%s",
+			wantJSON, gotJSON)
 	}
 }
 
@@ -169,52 +160,35 @@ func TestShardDispatchIgnoresDuplicatesAndBogusIndices(t *testing.T) {
 }
 
 // TestShardRemoteFailureCheckpointByteIdentical: a candidate that fails on
-// a worker crosses the wire as (kind, msg) and must land in the coordinator
-// checkpoint byte-for-byte as it would have failing locally — the property
-// guard.KindError exists for.
+// a worker crosses the wire as (kind, msg) and must surface at the
+// coordinator byte-for-byte as it would have failing locally — the property
+// guard.KindError exists for. The fault fires on every candidate, so the
+// study fails with the joined per-candidate errors, whose text and kind
+// must match between the local and the remote run.
 func TestShardRemoteFailureCheckpointByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
-	dir := t.TempDir()
 
-	// The second candidate fails with a non-retryable taxonomy error, in
-	// both regimes. Workers:1 on both sides keeps the hit order equal to
-	// candidate order, so the fault targets the same design point.
-	arm := func() {
-		guard.Arm("dse.candidate", guard.Fault{Skip: 1, Count: 1,
-			Err: guard.Infeasible("injected: no feasible mapping")})
-	}
-
-	run := func(name string, dispatch func(context.Context, Shard, func(ShardOutcome))) []byte {
-		arm()
+	run := func(name string, dispatch func(context.Context, Shard, func(ShardOutcome))) error {
+		guard.Arm("dse.candidate", guard.Fault{Err: guard.Infeasible("injected: no feasible mapping")})
 		defer guard.DisarmAll()
-		path := filepath.Join(dir, name)
-		ck, err := OpenCheckpoint(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-			Hardening{Checkpoint: ck, Workers: 1, Dispatch: dispatch})
-		if err != nil {
-			t.Fatal(err)
+			Hardening{Workers: 1, Dispatch: dispatch})
+		if err == nil || len(rows) != 0 {
+			t.Fatalf("%s: got %d rows and err %v, want every candidate failed", name, len(rows), err)
 		}
-		if len(rows) != len(cands)-1 {
-			t.Fatalf("%s: got %d rows, want %d (one injected failure)", name, len(rows), len(cands)-1)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return err
 	}
 
-	local := run("local.ckpt", nil)
-	remote := run("remote.ckpt", wireDispatch(t, nil, nil))
-	if string(remote) != string(local) {
-		t.Fatalf("remote failure checkpoint differs from local:\n--- local\n%s\n--- remote\n%s",
+	local := run("local", nil)
+	remote := run("remote", wireDispatch(t, nil, nil))
+	if remote.Error() != local.Error() {
+		t.Fatalf("remote failure text differs from local:\n--- local\n%s\n--- remote\n%s",
 			local, remote)
+	}
+	if guard.Kind(remote) != guard.Kind(local) || guard.Kind(local) != "infeasible" {
+		t.Fatalf("failure kinds: local %q, remote %q, want infeasible", guard.Kind(local), guard.Kind(remote))
 	}
 }
 

@@ -3,7 +3,6 @@ package dse
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
@@ -61,10 +60,10 @@ func TestStudyRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
-// An interrupted Study.Run flushes its checkpoint; rerunning the same spec
-// against the same path resumes and emits byte-identical CSV to an
-// uninterrupted run — the property the serving layer's crash-safe job
-// lifecycle is built on.
+// An interrupted Study.Run leaves its completed rows in the result store;
+// rerunning the same spec against the same store resumes from store hits
+// and emits byte-identical CSV to an uninterrupted run — the property the
+// serving layer's crash-safe job lifecycle is built on.
 func TestStudyRunResumeByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	ctx := context.Background()
@@ -73,15 +72,15 @@ func TestStudyRunResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := ref.Run(ctx, Hardening{}, "")
+	wantRows, err := ref.Run(ctx, Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := RuntimeRowsCSV(wantRows)
 
-	// Interrupt a checkpointed run after the second candidate completes:
-	// the fault's OnHit cancels the study context at a deterministic point.
-	path := filepath.Join(t.TempDir(), "job.ckpt.json")
+	// Interrupt a stored run after the second candidate completes: the
+	// fault's OnHit cancels the study context at a deterministic point.
+	dir := t.TempDir()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 2, Count: 1, OnHit: func() { cancel() }})
@@ -89,20 +88,25 @@ func TestStudyRunResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Run(cctx, Hardening{}, path); !errors.Is(err, guard.ErrCanceled) {
+	if _, err := s1.Run(cctx, Hardening{Results: openCache(t, dir)}); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run: got %v, want ErrCanceled", err)
 	}
 	disarm()
 
-	// A fresh Study (as a restarted server would build) resumes the
-	// checkpoint by fingerprint and completes the remainder.
+	// A fresh Study and a fresh store handle (as a restarted server would
+	// build) find the two completed candidates in the store and evaluate
+	// the remainder.
 	s2, err := NewStudy(ctx, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, err := s2.Run(ctx, Hardening{}, path)
+	fromStore := storeCounter("dse.candidates_from_store")
+	gotRows, err := s2.Run(ctx, Hardening{Results: openCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := storeCounter("dse.candidates_from_store") - fromStore; d != 2 {
+		t.Fatalf("resume took %d candidates from the store, want the 2 completed before the interrupt", d)
 	}
 	if got := RuntimeRowsCSV(gotRows); got != want {
 		t.Fatalf("resumed study output differs from uninterrupted run:\n got: %s\nwant: %s", got, want)

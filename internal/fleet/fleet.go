@@ -36,7 +36,7 @@
 // Determinism: workers run the same deterministic simulator on the same
 // exactly-serialized configs, the coordinator merges outcomes by candidate
 // index, and duplicate reports (hedging) are idempotent — so tables, CSV,
-// and checkpoint files are byte-identical to a serial in-process run at any
+// and row JSON are byte-identical to a serial in-process run at any
 // fleet size, any failure schedule, and any membership churn schedule. That
 // property is what makes every retry safe: re-evaluating a candidate cannot
 // change the answer.

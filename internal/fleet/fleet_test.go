@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,15 +81,14 @@ func fastCfg(workers ...string) Config {
 }
 
 // runStudy evaluates the tiny study with the given dispatcher and returns
-// its formatted rows and checkpoint bytes.
-func runStudy(t *testing.T, st *dse.Study, dir, name string, dispatch func(context.Context, dse.Shard, func(dse.ShardOutcome))) (string, []byte) {
+// its formatted rows and their JSON, which is exact to the float64 bit.
+func runStudy(t *testing.T, st *dse.Study, dispatch func(context.Context, dse.Shard, func(dse.ShardOutcome))) (string, []byte) {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	rows, err := st.Run(context.Background(), dse.Hardening{Workers: 1, Dispatch: dispatch}, path)
+	rows, err := st.Run(context.Background(), dse.Hardening{Workers: 1, Dispatch: dispatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
+	b, err := json.Marshal(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +96,7 @@ func runStudy(t *testing.T, st *dse.Study, dir, name string, dispatch func(conte
 }
 
 // TestFleetByteIdenticalToSerial: the headline contract. A two-worker fleet
-// run emits the same table, CSV, and checkpoint bytes as a serial
-// in-process run.
+// run emits the same table, CSV, and row JSON as a serial in-process run.
 func TestFleetByteIdenticalToSerial(t *testing.T) {
 	st := tinyStudy(t)
 	w1 := httptest.NewServer(workerHandler())
@@ -112,14 +108,13 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, wantCk := runStudy(t, st, dir, "serial.ckpt", nil)
-	got, gotCk := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	want, wantJSON := runStudy(t, st, nil)
+	got, gotJSON := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("fleet output differs from serial:\n--- serial\n%s\n--- fleet\n%s", want, got)
 	}
-	if string(gotCk) != string(wantCk) {
-		t.Fatalf("fleet checkpoint differs from serial:\n--- serial\n%s\n--- fleet\n%s", wantCk, gotCk)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("fleet row JSON differs from serial:\n--- serial\n%s\n--- fleet\n%s", wantJSON, gotJSON)
 	}
 }
 
@@ -146,14 +141,13 @@ func TestFleetSurvivesWorkerDeathMidStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, wantCk := runStudy(t, st, dir, "serial.ckpt", nil)
-	got, gotCk := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	want, wantJSON := runStudy(t, st, nil)
+	got, gotJSON := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output with dying worker differs from serial:\n--- serial\n%s\n--- fleet\n%s", want, got)
 	}
-	if string(gotCk) != string(wantCk) {
-		t.Fatalf("checkpoint with dying worker differs from serial")
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("row JSON with dying worker differs from serial")
 	}
 }
 
@@ -172,12 +166,11 @@ func TestFleetInjectedWorkerFaultRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, _ := runStudy(t, st, nil)
 
 	retriesBefore := obs.NewCounter("fleet.retries_total").Value()
 	guard.Arm("fleet.shard", guard.Fault{Count: 1, Err: guard.Unavailable("injected worker fault")})
-	got, _ := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	got, _ := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output with injected fault differs from serial:\n--- serial\n%s\n--- fleet\n%s", want, got)
 	}
@@ -200,14 +193,13 @@ func TestFleetAllWorkersDownFallsBackLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, wantCk := runStudy(t, st, dir, "serial.ckpt", nil)
-	got, gotCk := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	want, wantJSON := runStudy(t, st, nil)
+	got, gotJSON := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output with dead fleet differs from serial:\n--- serial\n%s\n--- local\n%s", want, got)
 	}
-	if string(gotCk) != string(wantCk) {
-		t.Fatalf("checkpoint with dead fleet differs from serial")
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("row JSON with dead fleet differs from serial")
 	}
 }
 
@@ -240,11 +232,10 @@ func TestFleetLeaseExpiryRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, _ := runStudy(t, st, nil)
 
 	expiredBefore := obs.NewCounter("fleet.lease_expired_total").Value()
-	got, _ := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	got, _ := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output with stalling worker differs from serial:\n--- serial\n%s\n--- fleet\n%s", want, got)
 	}
@@ -281,12 +272,11 @@ func TestFleetHedgesStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, _ := runStudy(t, st, nil)
 
 	hedgesBefore := obs.NewCounter("fleet.hedges_total").Value()
 	start := time.Now()
-	got, _ := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	got, _ := runStudy(t, st, c.Dispatch)
 	if elapsed := time.Since(start); elapsed > stall/2 {
 		t.Fatalf("hedging did not rescue the straggler: study took %v", elapsed)
 	}
@@ -323,9 +313,8 @@ func TestFleetBreakerIsolatesAndReadmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
-	got, _ := runStudy(t, st, dir, "fleet1.ckpt", c.Dispatch)
+	want, _ := runStudy(t, st, nil)
+	got, _ := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output with broken worker differs from serial")
 	}
@@ -342,7 +331,7 @@ func TestFleetBreakerIsolatesAndReadmits(t *testing.T) {
 	// the breaker again.
 	broken.Store(false)
 	time.Sleep(2 * cfg.BreakerCooldown)
-	got, _ = runStudy(t, st, dir, "fleet2.ckpt", c.Dispatch)
+	got, _ = runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output after worker recovery differs from serial")
 	}
@@ -369,9 +358,8 @@ func TestFleetPermanentRejectionFallsBackWithoutRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
-	got, _ := runStudy(t, st, dir, "fleet.ckpt", c.Dispatch)
+	want, _ := runStudy(t, st, nil)
+	got, _ := runStudy(t, st, c.Dispatch)
 	if got != want {
 		t.Fatalf("output after permanent rejection differs from serial")
 	}

@@ -32,7 +32,7 @@ import (
 // lease-expiry path. A membership transition therefore only ever changes
 // *who* evaluates a shard, never *what* merges back — the coordinator still
 // merges outcomes by candidate index and still degrades any unresolved
-// remainder to local evaluation — so tables, CSVs, and checkpoints stay
+// remainder to local evaluation — so tables, CSVs, and row JSON stay
 // byte-identical to a serial run under any join/leave/crash/drain schedule.
 //
 // Observability: fleet.workers_live / fleet.workers_suspect /

@@ -210,8 +210,8 @@ func TestHeartbeatEvictsDeadAndReadmitsRegistered(t *testing.T) {
 
 // TestFleetChurnByteIdentical is the tentpole acceptance test: a scripted
 // join → suspect → evict → readmit → drain schedule runs concurrently with
-// a real study, and the study's table, CSV, and checkpoint bytes still
-// match the serial reference exactly. Run under -race this also pins the
+// a real study, and the study's table, CSV, and row JSON still match the
+// serial reference exactly. Run under -race this also pins the
 // membership table's concurrency contract against live dispatch.
 func TestFleetChurnByteIdentical(t *testing.T) {
 	st := tinyStudy(t)
@@ -227,8 +227,7 @@ func TestFleetChurnByteIdentical(t *testing.T) {
 	}
 	defer c.Close()
 
-	dir := t.TempDir()
-	want, wantCk := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, wantJSON := runStudy(t, st, nil)
 
 	ctx := context.Background()
 	churn := func() {
@@ -256,14 +255,14 @@ func TestFleetChurnByteIdentical(t *testing.T) {
 		go func() { defer wg.Done(); churn() }()
 		c.Dispatch(dctx, sh, report)
 	}
-	got, gotCk := runStudy(t, st, dir, "churn.ckpt", dispatch)
+	got, gotJSON := runStudy(t, st, dispatch)
 	wg.Wait()
 
 	if got != want {
 		t.Fatalf("churn output differs from serial:\n--- serial\n%s\n--- churn\n%s", want, got)
 	}
-	if string(gotCk) != string(wantCk) {
-		t.Fatalf("churn checkpoint differs from serial")
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("churn row JSON differs from serial")
 	}
 	states := c.m.States()
 	if states[w1.URL] != StateLive {
@@ -310,8 +309,7 @@ func TestFleetDrainFinishesLeasedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, _ := runStudy(t, st, nil)
 
 	// Count every reported outcome per candidate index: a double-requeue
 	// that merged twice would show up here even though dse would drop it.
@@ -321,7 +319,7 @@ func TestFleetDrainFinishesLeasedShard(t *testing.T) {
 	var got string
 	go func() {
 		defer close(done)
-		got, _ = runStudy(t, st, dir, "drain.ckpt", func(ctx context.Context, sh dse.Shard, report func(dse.ShardOutcome)) {
+		got, _ = runStudy(t, st, func(ctx context.Context, sh dse.Shard, report func(dse.ShardOutcome)) {
 			c.Dispatch(ctx, sh, func(o dse.ShardOutcome) {
 				rmu.Lock()
 				reports[o.Index]++
@@ -360,7 +358,7 @@ func TestFleetDrainFinishesLeasedShard(t *testing.T) {
 
 	// A fresh study through the same coordinator never touches the drained
 	// worker.
-	got2, _ := runStudy(t, st, dir, "after.ckpt", c.Dispatch)
+	got2, _ := runStudy(t, st, c.Dispatch)
 	if got2 != want {
 		t.Fatalf("post-drain study differs from serial")
 	}
@@ -408,8 +406,7 @@ func TestFleetDrainedLeaseExpiryRequeuesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	dir := t.TempDir()
-	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	want, _ := runStudy(t, st, nil)
 
 	expiredBefore := obs.NewCounter("fleet.lease_expired_total").Value()
 	reports := map[int]int{}
@@ -418,7 +415,7 @@ func TestFleetDrainedLeaseExpiryRequeuesOnce(t *testing.T) {
 	var got string
 	go func() {
 		defer close(done)
-		got, _ = runStudy(t, st, dir, "wedged.ckpt", func(ctx context.Context, sh dse.Shard, report func(dse.ShardOutcome)) {
+		got, _ = runStudy(t, st, func(ctx context.Context, sh dse.Shard, report func(dse.ShardOutcome)) {
 			c.Dispatch(ctx, sh, func(o dse.ShardOutcome) {
 				rmu.Lock()
 				reports[o.Index]++

@@ -189,7 +189,7 @@ func (e *kindError) Error() string        { return e.msg }
 func (e *kindError) Is(target error) bool { return target == e.base }
 
 // KindError reconstructs a failure from its (kind, message) wire form —
-// the shape checkpoints and the fleet protocol serialize — so that
+// the shape the fleet protocol serializes — so that
 // Kind(err) returns kind again, errors.Is classification works, and
 // err.Error() is byte-identical to the original message (a failure that
 // crosses a process boundary and is re-recorded must not mutate). Unknown

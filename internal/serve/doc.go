@@ -22,14 +22,15 @@
 //     poisoned request into a 500 and a counter increment — never a dead
 //     process. A watchdog trips /readyz into a degraded 503 after
 //     Config.DegradedAfter consecutive 5xx responses and un-trips on the
-//     next success. DSE jobs persist through dse.Checkpoint: job IDs are
-//     derived from the study fingerprint, so a SIGTERM mid-study drains
-//     in-flight candidates, flushes the checkpoint, and resubmitting the
-//     same study to a restarted server resumes it byte-identically.
+//     next success. DSE jobs persist through the result store
+//     (Config.Results): each completed candidate is stored as it finishes
+//     and job IDs are derived from the study fingerprint, so a SIGTERM
+//     mid-study drains in-flight candidates, and resubmitting the same
+//     study to a restarted server sharing the store resumes it from store
+//     hits byte-identically.
 //
 //   - Graceful shutdown. Shutdown sequences listener close → connection
-//     drain with deadline → job cancellation and checkpoint flush → final
-//     metrics snapshot.
+//     drain with deadline → job cancellation → final metrics snapshot.
 //
 // Error mapping is guard.HTTPStatus: invalid-config 400, infeasible 422,
 // timeout 504, canceled 499, non-finite/panic/other 500. See DESIGN.md §10

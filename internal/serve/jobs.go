@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -24,8 +22,9 @@ import (
 // determine its output — and the job ID is a hash of that fingerprint.
 // Idempotence falls out: resubmitting the same study returns the same job,
 // whether it is queued, running, finished, or was interrupted by a restart
-// (in which case the new job resumes the checkpoint the old process
-// flushed on its way down, and completes byte-identically).
+// (in which case, with a result store configured, the new job finds the
+// old process's completed candidates in the store and completes
+// byte-identically).
 
 var (
 	mJobsSubmitted = obs.NewCounter("serve.jobs_submitted")
@@ -174,34 +173,10 @@ type jobStore struct {
 }
 
 func newJobStore(s *Server) *jobStore {
-	cleanJobsDir(s.cfg.JobsDir)
 	return &jobStore{
 		s:    s,
 		sem:  make(chan struct{}, s.cfg.StudyLimit),
 		jobs: map[string]*job{},
-	}
-}
-
-// cleanJobsDir is the startup hygiene scan of the jobs directory: a SIGKILL
-// between a checkpoint's tmp write and its rename leaves an orphaned
-// *.ckpt.json.tmp that no future flush will ever reclaim (each job writes
-// its own path). The orphans are harmless to correctness — resume reads
-// only the renamed file — but they accumulate forever and confuse
-// operators listing the directory, so they are removed on boot. Nothing
-// else is touched, and a missing or unreadable directory is a no-op: job
-// persistence degrades, serving does not.
-func cleanJobsDir(dir string) {
-	if dir == "" {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		return
-	}
-	for _, path := range matches {
-		if err := os.Remove(path); err == nil {
-			slog.Info("serve: removed orphaned checkpoint tmp file", "path", path)
-		}
 	}
 }
 
@@ -213,20 +188,6 @@ func jobID(fingerprint string) string {
 
 func (st *jobStore) running() int {
 	return len(st.sem)
-}
-
-func (st *jobStore) queued() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := 0
-	for _, j := range st.jobs {
-		j.mu.Lock()
-		if j.state == JobQueued {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }
 
 func (st *jobStore) get(id string) (*job, bool) {
@@ -244,7 +205,7 @@ func (st *jobStore) submit(study *dse.Study, hard dse.Hardening) (*job, bool, er
 	st.mu.Lock()
 	if j, ok := st.jobs[id]; ok {
 		// Idempotent resubmission. A job the drain interrupted is revived
-		// with a fresh run that resumes its checkpoint.
+		// with a fresh run, which resumes from the result store.
 		j.mu.Lock()
 		interrupted := j.state == JobInterrupted
 		if interrupted {
@@ -282,7 +243,7 @@ func (st *jobStore) submit(study *dse.Study, hard dse.Hardening) (*job, bool, er
 	return j, true, nil
 }
 
-// queuedLocked is queued() for callers already holding st.mu.
+// queuedLocked counts the queued jobs; the caller holds st.mu.
 func (st *jobStore) queuedLocked() int {
 	n := 0
 	for _, j := range st.jobs {
@@ -319,7 +280,7 @@ func (st *jobStore) start(j *job) {
 		gJobsRunning.Add(1)
 		defer gJobsRunning.Add(-1)
 
-		rows, err := j.study.Run(ctx, j.hard, st.ckptPath(j.id))
+		rows, err := j.study.Run(ctx, j.hard)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		switch {
@@ -327,10 +288,10 @@ func (st *jobStore) start(j *job) {
 			j.state, j.rows, j.err = JobDone, rows, nil
 			mJobsDone.Inc()
 		case errors.Is(err, guard.ErrCanceled) && st.s.isDraining():
-			// The drain canceled us; the checkpoint flush already ran
-			// inside RuntimeStudyHardened. Resumable.
+			// The drain canceled us. Completed candidates are already in
+			// the result store (if any), so a resubmission resumes.
 			j.state, j.err = JobInterrupted, err
-			slog.Info("serve: study job interrupted by drain, checkpoint flushed",
+			slog.Info("serve: study job interrupted by drain",
 				"job", j.id, "rows_done", len(rows))
 		default:
 			j.state, j.err = JobFailed, err
@@ -341,17 +302,8 @@ func (st *jobStore) start(j *job) {
 	}()
 }
 
-// ckptPath places a job's checkpoint under JobsDir ("" disables
-// persistence).
-func (st *jobStore) ckptPath(id string) string {
-	if st.s.cfg.JobsDir == "" {
-		return ""
-	}
-	return filepath.Join(st.s.cfg.JobsDir, id+".ckpt.json")
-}
-
 // shutdown cancels every running job and waits (bounded by ctx) for the
-// goroutines to unwind — which includes their checkpoint flushes.
+// goroutines to unwind.
 func (st *jobStore) shutdown(ctx context.Context) error {
 	st.mu.Lock()
 	for _, j := range st.jobs {

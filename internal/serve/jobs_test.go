@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,12 +11,24 @@ import (
 
 	"neurometer/internal/dse"
 	"neurometer/internal/guard"
+	"neurometer/internal/obs"
+	"neurometer/internal/rstore"
 )
+
+// openStore opens a result store over dir, as -result-store does.
+func openStore(t *testing.T, dir string) *rstore.Cache {
+	t.Helper()
+	st, err := rstore.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rstore.NewCache(st)
+}
 
 // TestStudyJobLifecycle submits an async study, polls it to completion, and
 // checks idempotent resubmission returns the same job.
 func TestStudyJobLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobsDir: t.TempDir()})
+	_, ts := newTestServer(t, Config{Results: openStore(t, t.TempDir())})
 
 	status, _, body := doJSON(t, "POST", ts.URL+"/v1/dse/study", tinyStudyBody(""))
 	if status != 202 {
@@ -85,13 +95,29 @@ func TestStudyJobQueueBound(t *testing.T) {
 	}
 }
 
+// TestJobIDPinned: a job ID is a hash of the study fingerprint text, so
+// any drift in that text — a reworded prefix, a reordered field — would
+// silently orphan every client holding an ID. The literal may change only
+// with a deliberate, documented change to the fingerprint text.
+func TestJobIDPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, _, body := doJSON(t, "POST", ts.URL+"/v1/dse/study", tinyStudyBody(""))
+	if status != 202 {
+		t.Fatalf("submit: %d %v", status, body)
+	}
+	if id, want := body["id"], "4779c4927b95a626"; id != want {
+		t.Fatalf("job id for the tiny study = %v, want %s", id, want)
+	}
+}
+
 // TestJobDrainRestartResume is the crash-safety acceptance test: a study
-// job is interrupted mid-run by Shutdown (the SIGTERM path), the drain
-// flushes its checkpoint, and a fresh Server sharing the jobs directory
-// resumes the same job id to a byte-identical result.
+// job is interrupted mid-run by Shutdown (the SIGTERM path), and a fresh
+// Server sharing the result store resumes the same job id to a
+// byte-identical result, taking exactly the candidates completed before
+// the drain from the store.
 func TestJobDrainRestartResume(t *testing.T) {
 	defer guard.DisarmAll()
-	jobsDir := t.TempDir()
+	storeDir := t.TempDir()
 
 	// Reference: the same study run uninterrupted on an isolated server.
 	_, tsRef := newTestServer(t, Config{})
@@ -108,8 +134,8 @@ func TestJobDrainRestartResume(t *testing.T) {
 	// First incarnation: submit async, then drain once the third candidate
 	// is reached. The armed hook parks that candidate until the drain is
 	// underway and its context cancellation has landed, so the pool stops
-	// deterministically with two candidates checkpointed.
-	s1 := New(Config{JobsDir: jobsDir, Workers: 1})
+	// deterministically with two candidates stored.
+	s1 := New(Config{Results: openStore(t, storeDir), Workers: 1})
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 	reached := make(chan struct{})
@@ -144,18 +170,18 @@ func TestJobDrainRestartResume(t *testing.T) {
 	} else if st := j.status(); st.State != JobInterrupted {
 		t.Fatalf("job state after drain = %q, want %q", st.State, JobInterrupted)
 	}
-	ckpt := filepath.Join(jobsDir, id+".ckpt.json")
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("drain did not leave a checkpoint: %v", err)
-	}
 
-	// Second incarnation: same jobs dir, same spec. The synchronous
-	// resubmission resumes the checkpoint and must reproduce the reference
-	// output byte for byte.
-	_, ts2 := newTestServer(t, Config{JobsDir: jobsDir, Workers: 1})
+	// Second incarnation: same store, same spec. The synchronous
+	// resubmission finds the two completed candidates in the store and
+	// must reproduce the reference output byte for byte.
+	_, ts2 := newTestServer(t, Config{Results: openStore(t, storeDir), Workers: 1})
+	fromStore := obs.Default().Snapshot().Counters["dse.candidates_from_store"]
 	status, _, body = doJSON(t, "POST", ts2.URL+"/v1/dse/study", tinyStudyBody(`"wait":true`))
 	if status != 200 || body["state"] != JobDone {
 		t.Fatalf("resumed run: %d %v", status, body)
+	}
+	if d := obs.Default().Snapshot().Counters["dse.candidates_from_store"] - fromStore; d != 2 {
+		t.Fatalf("resumed job took %d candidates from the store, want the 2 completed before the drain", d)
 	}
 	if body["id"] != id {
 		t.Fatalf("resumed job id %v, want %s", body["id"], id)
@@ -168,7 +194,7 @@ func TestJobDrainRestartResume(t *testing.T) {
 // TestSubmitWhileDrainingSheds: once Shutdown begins, new study jobs are
 // turned away instead of being accepted and immediately interrupted.
 func TestSubmitWhileDrainingSheds(t *testing.T) {
-	s := New(Config{JobsDir: t.TempDir()})
+	s := New(Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -199,7 +225,7 @@ func TestConcurrentSoak(t *testing.T) {
 		SimulateLimit:    2,
 		QueueDepth:       2,
 		AdmissionTimeout: 200 * time.Millisecond,
-		JobsDir:          t.TempDir(),
+		Results:          openStore(t, t.TempDir()),
 	})
 
 	reqs := []struct{ method, path, body string }{
@@ -233,32 +259,5 @@ func TestConcurrentSoak(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestStartupRemovesOrphanedTmpFiles: a crash between a checkpoint's tmp
-// write and its rename leaves a *.tmp dropping in the jobs dir. The next
-// server incarnation's hygiene scan must remove it — and only it: real
-// checkpoint files and unrelated names stay untouched.
-func TestStartupRemovesOrphanedTmpFiles(t *testing.T) {
-	jobsDir := t.TempDir()
-	orphan := filepath.Join(jobsDir, "deadbeef.ckpt.json.tmp")
-	keepCkpt := filepath.Join(jobsDir, "cafef00d.ckpt.json")
-	keepOther := filepath.Join(jobsDir, "notes.txt")
-	for _, p := range []string{orphan, keepCkpt, keepOther} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	New(Config{JobsDir: jobsDir})
-
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphaned tmp file survived startup: stat err = %v", err)
-	}
-	for _, p := range []string{keepCkpt, keepOther} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("startup hygiene removed %s: %v", filepath.Base(p), err)
-		}
 	}
 }

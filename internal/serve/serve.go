@@ -51,9 +51,6 @@ type Config struct {
 	DegradedAfter int
 	// Workers is the dse evaluation pool size for study jobs.
 	Workers int
-	// JobsDir holds study-job checkpoints; empty disables job persistence
-	// (jobs still run, but do not survive a restart).
-	JobsDir string
 	// MaxBodyBytes bounds request bodies; an overflowing body is rejected
 	// with 413 and kind=too-large.
 	MaxBodyBytes int64
@@ -65,8 +62,11 @@ type Config struct {
 	// store shared by this process: study jobs read through it
 	// (dse.Hardening.Results) and /v1/worker/eval consults it before
 	// evaluating shard candidates, so a worker that already knows an
-	// answer serves it from disk. nil disables result caching; store
-	// faults degrade to evaluation and never fail a request.
+	// answer serves it from disk. It is also how study jobs survive a
+	// restart: an interrupted job's completed candidates are in the store,
+	// so resubmitting it resumes from store hits. nil disables result
+	// caching (jobs still run, but do not survive a restart); store faults
+	// degrade to evaluation and never fail a request.
 	Results *rstore.Cache
 	// Dispatch, when non-nil, is installed as dse.Hardening.Dispatch for
 	// study jobs — typically fleet.Coordinator.Dispatch, making this
@@ -240,7 +240,7 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown drains the server in the documented order: close the listener,
 // drain in-flight connections within the ctx deadline, cancel running
-// study jobs and wait for their checkpoint flushes, then log the final
+// study jobs and wait for them to unwind, then log the final
 // metrics snapshot. Idempotent (a SIGTERM/SIGINT double-fire drains once);
 // afterwards /readyz reports 503 until the process exits.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -256,7 +256,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.announceDrain(ctx)
 		httpErr := s.http.Shutdown(ctx) // listener close + connection drain
-		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for flushes
+		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for them to unwind
 		s.baseCancel()
 		snap := obs.Default().Snapshot()
 		slog.Info("serve: final metrics snapshot",
@@ -449,7 +449,7 @@ func newSimulateResponse(c *chip.Chip, workload string, res *perfsim.Result) Sim
 // maxBatchConfigs bounds the candidate list of one simulate-batch request.
 // The endpoint exists to amortize workload preparation across candidates,
 // not to smuggle a whole design-space sweep past the study-job machinery —
-// use POST /v1/dse/study for sweeps that need checkpoints and admission as
+// use POST /v1/dse/study for sweeps that need resume and admission as
 // long-running work.
 const maxBatchConfigs = 256
 

@@ -248,7 +248,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 	base := invariants.GoroutineBaseline()
 
-	s := New(Config{JobsDir: t.TempDir()})
+	s := New(Config{Results: openStore(t, t.TempDir())})
 	ts := httptest.NewServer(s.Handler())
 	client := &http.Client{}
 
