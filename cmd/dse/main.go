@@ -32,9 +32,6 @@
 //
 //	-workers n      candidate-evaluation pool size (default GOMAXPROCS;
 //	                1 = serial). Output is byte-identical at any n.
-//	-block n        candidates claimed per worker at a time in the -fig 10
-//	                sweep (0 = default 16). Larger blocks keep per-worker
-//	                scratch hot; output is byte-identical at any n.
 //	-csv prefix     also write -fig 10 rows to prefix.<regime>.csv
 //
 // Distributed studies (see DESIGN.md §11):
@@ -82,7 +79,6 @@ type hardenFlags struct {
 	timeout time.Duration
 	retries int
 	workers int
-	block   int
 	csv     string
 	store   string
 
@@ -125,7 +121,6 @@ func main() {
 	flag.DurationVar(&hf.timeout, "candidate-timeout", 0, "per-candidate evaluation deadline (0 = unbounded)")
 	flag.IntVar(&hf.retries, "retries", 0, "retries for retryable (timed-out) candidate failures")
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
-	flag.IntVar(&hf.block, "block", 0, "candidates claimed per worker at a time in the -fig 10 sweep (0 = default; output is identical at any size)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
 	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation; an interrupted sweep resumes from it)")
 	flag.StringVar(&hf.fleet, "fleet", "", "comma-separated neurometerd worker URLs: distribute the -fig 10 sweep across them")
@@ -229,7 +224,7 @@ func run(ctx context.Context, w io.Writer, fig int, full bool, hf hardenFlags) e
 		}
 	case 10:
 		cands := dse.SecondRound(dse.Candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
-		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers, BlockSize: hf.block}
+		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers}
 		dispatch, err := hf.dispatcher()
 		if err != nil {
 			return err

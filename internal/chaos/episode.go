@@ -309,7 +309,7 @@ func (r *Runner) driveStudy(ctx context.Context, sch *Schedule, cache *rstore.Ca
 		}
 	}()
 
-	hard := dse.Hardening{Workers: 2, BlockSize: 2, Results: cache}
+	hard := dse.Hardening{Workers: 2, Results: cache}
 	if h.coord != nil {
 		hard.Dispatch = h.coord.Dispatch
 	}

@@ -24,12 +24,9 @@
 // across a bounded goroutine pool. The engine is deterministic by
 // construction: results are collected by candidate index, not completion
 // order — so the formatted tables, CSV output and row JSON are identical
-// at every worker count, including a serial run. Workers <= 1 runs inline on the caller's
-// goroutine (the historical serial path). Workers claim candidates in
-// blocks of Hardening.BlockSize consecutive indices (0 = DefaultBlockSize),
-// which keeps each worker's evaluation scratch and the study's prepared
-// workload tables hot without affecting output bytes. See DESIGN.md §9 and
-// §14.
+// at every worker count, including a serial run. Workers <= 1 runs inline
+// on the caller's goroutine (the historical serial path); otherwise each
+// worker claims one candidate at a time. See DESIGN.md §9 and §14.
 //
 // Each study prepares its workload graphs once (perfsim.Prepare) and every
 // candidate evaluation runs into pooled result scratch, so the per-candidate
@@ -40,7 +37,11 @@
 // There is one persistence format: the content-addressed result store
 // (Hardening.Results, internal/rstore). Each successful candidate row is
 // stored under CandidateFingerprint — chip config, workloads, batch regime
-// and options — as it completes. An interrupted study resumes by running
+// and options — as it completes. Each candidate takes one path: look up
+// its row by fingerprint, else evaluate it, then store a successful row
+// best-effort. Concurrent studies that share a store and a candidate just
+// write the same bytes twice; nothing coordinates them, since each store
+// write is atomic on its own. An interrupted study resumes by running
 // it again against the same store: its completed candidates are store
 // hits (dse.candidates_from_store), the rest evaluate. Failures are never
 // stored, since a fault, deadline or panic belongs to one run, not to the

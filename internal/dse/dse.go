@@ -175,9 +175,7 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 	points := cs.sweepPoints()
 	results := make([]*Candidate, len(points))
 	var tried atomic.Int64
-	// Block size 1: builds are heavyweight, memoized, and unevenly pruned,
-	// so fine-grained claiming balances better than blocks here.
-	interrupted := runPool(ctx, len(points), workers, 1, func(i int) {
+	interrupted := runPool(ctx, len(points), workers, func(i int) {
 		p := points[i]
 		mEnumerated.Inc()
 		if n := tried.Add(1); n%progressEvery == 0 {
@@ -378,14 +376,6 @@ type Hardening struct {
 	// collected by candidate index, so output is byte-identical across
 	// worker counts.
 	Workers int
-	// BlockSize is the number of consecutive candidates a worker claims at
-	// a time (< 1, including the zero value, resolves to DefaultBlockSize).
-	// Larger blocks keep a worker's evaluation scratch and the prepared
-	// workload tables hot across a run of candidates at the cost of coarser
-	// load balancing near the end of a sweep. The block size only changes
-	// which worker evaluates which candidate — results are collected by
-	// index, so output is byte-identical at any (Workers, BlockSize) pair.
-	BlockSize int
 	// Dispatch, when non-nil, is offered the pending (not stored)
 	// candidates before the local pool runs: it evaluates whatever it can
 	// remotely — fleet.Coordinator.Dispatch shards them across workers —
@@ -400,12 +390,11 @@ type Hardening struct {
 	// Results, when non-nil, is the persistent content-addressed result
 	// store: pending candidates are looked up (fully verified — envelope
 	// checksum, fingerprint match, finite metrics) before any evaluation
-	// is scheduled, local evaluations run under the store's single-flight
-	// layer and persist their rows, and remote outcomes are written back
-	// best-effort. Store faults of every kind degrade to evaluation, so a
-	// study runs byte-identically with a cold, warm, poisoned, or absent
-	// store. A nil Cache (including rstore.NewCache(nil)) disables all of
-	// this.
+	// is scheduled, and every successful row — local or remote — is
+	// written back best-effort. Store faults of every kind degrade to
+	// evaluation, so a study runs byte-identically with a cold, warm,
+	// poisoned, or absent store. A nil Cache (including
+	// rstore.NewCache(nil)) disables all of this.
 	//
 	// The store is also how a study resumes: every successful row is
 	// persisted as it completes, so rerunning an interrupted study against
@@ -475,14 +464,18 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	// Store phase: satisfy candidates from the persistent result store
 	// before any evaluation — local or remote — is scheduled. This is also
 	// the resume path: an interrupted run persisted every row it completed.
-	names := modelNames(models)
+	// Each candidate's fingerprint is derived once, here; the remote
+	// write-back and the local pool store under the same slice.
+	var fps []string
 	if h.Results != nil {
+		names := modelNames(models)
+		fps = make([]string, len(cands))
 		hits := 0
 		remaining := pending[:0]
 		for _, i := range pending {
 			cand := cands[i]
-			fp := CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
-			if row, ok := lookupStoredRow(ctx, h.Results, fp, cand.Point); ok {
+			fps[i] = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+			if row, ok := lookupStoredRow(ctx, h.Results, fps[i], cand.Point); ok {
 				outs[i] = outcome{row: row, done: true}
 				hits++
 				continue
@@ -525,10 +518,9 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 				outs[o.Index] = outcome{err: err, done: true}
 			} else {
 				outs[o.Index] = outcome{row: *o.Row, done: true}
-				if h.Results != nil {
-					// Warm the store from fleet traffic too (best-effort).
-					storeRemoteOutcome(h.Results,
-						CandidateFingerprint(cand.Chip.Cfg, names, spec, opt), *o.Row)
+				if fps != nil {
+					// Warm the store from fleet traffic too.
+					storeRow(ctx, h.Results, fps[o.Index], *o.Row)
 				}
 			}
 			mRemote.Inc()
@@ -548,17 +540,16 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	}
 
 	var completed atomic.Int64
-	poolErr := runPool(ctx, len(pending), h.Workers, h.BlockSize, func(pi int) {
+	poolErr := runPool(ctx, len(pending), h.Workers, func(pi int) {
 		i := pending[pi]
 		cand := cands[i]
 		cctx, cspan := obs.Start(ctx, "dse.candidate")
 		cspan.SetStr("point", cand.Point.String())
 		evalStart := time.Now()
-		var fp string
-		if h.Results != nil {
-			fp = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+		row, err := evalWithRetry(cctx, cand, prepared, spec, opt, h)
+		if err == nil && fps != nil {
+			storeRow(cctx, h.Results, fps[i], row)
 		}
-		row, err := evalStoreAware(cctx, h.Results, fp, cand, prepared, spec, opt, h)
 		mEvalLatency.Observe(time.Since(evalStart).Seconds())
 		cspan.End()
 		if n := completed.Add(1); n%progressEvery == 0 || n == int64(len(pending)) {

@@ -231,6 +231,9 @@ func TestResumeReevaluatesFailedCandidates(t *testing.T) {
 	if len(first) != len(cands)-1 {
 		t.Fatalf("first run: %d rows, want %d (one injected failure)", len(first), len(cands)-1)
 	}
+	if n := len(storeEntryFiles(t, dir)); n != len(cands)-1 {
+		t.Fatalf("store holds %d entries, want %d (the failure must not be stored)", n, len(cands)-1)
+	}
 
 	fromStore := storeCounter("dse.candidates_from_store")
 	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,

@@ -38,7 +38,7 @@ const resultStoreVersion = 1
 var mStoreHits = obs.NewCounter("dse.candidates_from_store")
 
 // CandidateFingerprint derives the content address of one candidate
-// evaluation. Unlike StudyFingerprint it is per-candidate and uses exact
+// evaluation. Unlike studyFingerprint it is per-candidate and uses exact
 // (%+v) renderings throughout — a lossily formatted latency bound must not
 // alias two different batch regimes onto one stored result.
 func CandidateFingerprint(cfg chip.Config, models []string, spec BatchSpec, opt perfsim.Options) string {
@@ -116,53 +116,18 @@ func lookupStoredRow(ctx context.Context, cache *rstore.Cache, fp string, want P
 	return row, ok
 }
 
-// evalStoreAware evaluates one candidate through the store's single-flight
-// layer: concurrent evaluations of the same fingerprint (another study in
-// this process, another worker goroutine) collapse to one, with the
-// leader's successful row persisted best-effort. Waiters re-verify the
-// shared bytes exactly like a disk read; if the bytes do not survive
-// verification the waiter falls back to evaluating locally — a degraded
-// flight changes cost, never results.
-func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Candidate, models []*perfsim.Prepared, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
-	if cache == nil {
-		return evalWithRetry(ctx, cand, models, spec, opt, h)
-	}
-	var leaderRow RuntimeRow
-	payload, shared, err := cache.Compute(ctx, fp, func() ([]byte, error) {
-		row, err := evalWithRetry(ctx, cand, models, spec, opt, h)
-		if err != nil {
-			return nil, err
-		}
-		leaderRow = row
-		b, eerr := encodeStoredRow(row)
-		if eerr != nil {
-			slog.WarnContext(ctx, "dse: result not persisted", "point", cand.Point.String(), "err", eerr)
-			return nil, nil // row already captured; skip persistence only
-		}
-		return b, nil
-	})
-	if err != nil {
-		return RuntimeRow{}, err
-	}
-	if !shared {
-		return leaderRow, nil
-	}
-	row, derr := decodeStoredRow(payload, cand.Point)
-	if derr != nil {
-		cache.ReportBad(ctx, fp, derr)
-		return evalWithRetry(ctx, cand, models, spec, opt, h)
-	}
-	mStoreHits.Inc()
-	return row, nil
-}
-
-// storeRemoteOutcome best-effort persists a row computed by a remote
-// worker, so the coordinator's store warms from fleet traffic too.
-func storeRemoteOutcome(cache *rstore.Cache, fp string, row RuntimeRow) {
+// storeRow best-effort persists a successfully evaluated row — local or
+// reported by a remote worker — under fp. Failures are never stored: they
+// can depend on the run (injected faults, deadlines, panics), so a failed
+// candidate evaluates again next time. A nil cache stores nothing.
+func storeRow(ctx context.Context, cache *rstore.Cache, fp string, row RuntimeRow) {
 	if cache == nil {
 		return
 	}
-	if b, err := encodeStoredRow(row); err == nil {
-		cache.Add(fp, b)
+	b, err := encodeStoredRow(row)
+	if err != nil {
+		slog.WarnContext(ctx, "dse: result not persisted", "point", row.Point.String(), "err", err)
+		return
 	}
+	cache.Add(fp, b)
 }

@@ -252,11 +252,14 @@ func TestStoreWrongRowQuarantined(t *testing.T) {
 
 func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 	ref := studyCSV(t, Hardening{})
-	cache := openCache(t, t.TempDir())
+	dir := t.TempDir()
+	cache := openCache(t, dir)
+	wfBefore := storeCounter("rstore.write_failures")
+	qBefore := storeCounter("rstore.corrupt_quarantined")
 
-	// Two studies over the same candidates race on a shared cache: the
-	// single-flight layer dedupes whatever overlaps in time, and both
-	// outputs match the reference exactly.
+	// Two studies over the same candidates race on a shared cache, so both
+	// evaluate and write the same fingerprints. Every write must land and
+	// no reader may see a torn entry; both outputs match the reference.
 	var wg sync.WaitGroup
 	out := make([]string, 2)
 	for i := range out {
@@ -278,6 +281,18 @@ func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 		if got != ref {
 			t.Fatalf("concurrent study %d CSV differs from reference", i)
 		}
+	}
+	if d := storeCounter("rstore.write_failures") - wfBefore; d != 0 {
+		t.Errorf("write_failures delta = %d, want 0", d)
+	}
+	if d := storeCounter("rstore.corrupt_quarantined") - qBefore; d != 0 {
+		t.Errorf("corrupt_quarantined delta = %d, want 0", d)
+	}
+	if q := quarantineCount(t, dir); q != 0 {
+		t.Errorf("quarantine holds %d entries, want 0", q)
+	}
+	if n := len(storeEntryFiles(t, dir)); n != 3 {
+		t.Errorf("store holds %d entries, want 3", n)
 	}
 }
 

@@ -107,9 +107,8 @@ func BuildShard(cands []Candidate, indices []int, models []*graph.Graph, spec Ba
 // cache, when non-nil, is the worker's local result store: each candidate
 // is looked up by the same fingerprint the coordinator derives (the shard
 // fields round-trip exactly through JSON, so both sides address the same
-// entry), and fresh evaluations are persisted through the store's
-// single-flight layer. A nil cache — or any store fault — just means every
-// candidate evaluates.
+// entry), and fresh evaluations are persisted best-effort. A nil cache —
+// or any store fault — just means every candidate evaluates.
 func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) ([]ShardOutcome, error) {
 	if len(sh.Cands) == 0 {
 		return nil, guard.Invalid("dse: shard: no candidates")
@@ -137,7 +136,7 @@ func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) 
 		return nil, fmt.Errorf("dse: shard: %w", err)
 	}
 	outs := make([]ShardOutcome, len(sh.Cands))
-	runPool(ctx, len(sh.Cands), workers, 0, func(i int) {
+	runPool(ctx, len(sh.Cands), workers, func(i int) {
 		sc := sh.Cands[i]
 		cctx, sp := obs.Start(ctx, "dse.candidate", obs.Int("index", int64(sc.Index)))
 		outs[i] = evalShardCandidate(cctx, sc, sh, prepared, h, cache)
@@ -150,8 +149,8 @@ func EvalShard(ctx context.Context, sh Shard, workers int, cache *rstore.Cache) 
 }
 
 // evalShardCandidate resolves one shard candidate: a verified store hit
-// skips even the chip rebuild; otherwise the chip is rebuilt and the
-// candidate evaluated through the store's single-flight layer.
+// skips even the chip rebuild; otherwise the chip is rebuilt, the
+// candidate evaluated, and a successful row stored.
 func evalShardCandidate(ctx context.Context, sc ShardCandidate, sh Shard, models []*perfsim.Prepared, h Hardening, cache *rstore.Cache) ShardOutcome {
 	out := ShardOutcome{Index: sc.Index}
 	var fp string
@@ -166,8 +165,9 @@ func evalShardCandidate(ctx context.Context, sc ShardCandidate, sh Shard, models
 	if err == nil {
 		cand := Candidate{Point: sc.Point, Chip: c, PeakTOPS: c.PeakTOPS()}
 		var row RuntimeRow
-		row, err = evalStoreAware(ctx, cache, fp, cand, models, sh.Spec, sh.Opt, h)
+		row, err = evalWithRetry(ctx, cand, models, sh.Spec, sh.Opt, h)
 		if err == nil {
+			storeRow(ctx, cache, fp, row)
 			out.Row = &row
 			return out
 		}

@@ -14,16 +14,16 @@
 // run against a cold store, a warm store, a poisoned store, or no store at
 // all produces byte-identical output.
 //
-// Concurrency within a process is deduplicated by single-flight: when many
-// studies want the same missing fingerprint, one evaluates and the rest
-// wait for its bytes.
+// Concurrent writers need no coordination: every writer of a fingerprint
+// stores the same bytes, and each Put is atomic on its own, so two studies
+// (or two fleet workers on one disk) that evaluate the same candidate at
+// once just write it twice.
 package rstore
 
 import (
 	"context"
 	"errors"
 	"log/slog"
-	"sync"
 
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
@@ -62,26 +62,15 @@ var (
 	mDegraded      = obs.NewCounter("rstore.degraded")
 	mWriteFailures = obs.NewCounter("rstore.write_failures")
 	mTmpRemoved    = obs.NewCounter("rstore.tmp_removed")
-	mDeduped       = obs.NewCounter("rstore.singleflight_deduped")
 	mQEvicted      = obs.NewCounter("rstore.quarantine_evicted")
 )
 
-// Cache is the process-facing face of a Store: read-path verification,
-// degradation accounting, and in-process single-flight. A nil *Cache is
-// valid and behaves as "no store": lookups miss, computes run, writes are
-// dropped — so call sites wire it through unconditionally.
+// Cache is the process-facing face of a Store: read-path verification and
+// degradation accounting. A nil *Cache is valid and behaves as "no store":
+// lookups miss and writes are dropped — so call sites wire it through
+// unconditionally.
 type Cache struct {
 	store Store
-
-	mu     sync.Mutex
-	flight map[string]*flightCall
-}
-
-// flightCall is one in-progress computation other callers can wait on.
-type flightCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
 }
 
 // NewCache wraps a backend store. A nil store yields a nil Cache.
@@ -89,7 +78,7 @@ func NewCache(s Store) *Cache {
 	if s == nil {
 		return nil
 	}
-	return &Cache{store: s, flight: make(map[string]*flightCall)}
+	return &Cache{store: s}
 }
 
 // Close closes the backend.
@@ -141,83 +130,15 @@ func (c *Cache) degrade(ctx context.Context, err error) {
 	slog.Debug("rstore: degraded to evaluation", "kind", guard.Kind(err), "err", err)
 }
 
-// Compute runs fn under single-flight for fp: the first caller (the
-// leader) computes, and concurrent callers for the same fingerprint wait
-// and share the leader's bytes instead of re-evaluating. On success the
-// leader best-effort persists the payload — a write failure (ENOSPC, bad
-// mount) is counted and logged but never surfaces, because persistence is
-// an optimization, not part of the result.
-//
-// The return distinguishes who did the work: shared is false for the
-// leader (payload is exactly what fn returned — callers that captured
-// richer state in fn's closure should prefer that) and true for waiters
-// (payload is the leader's bytes, which the waiter must verify-decode
-// like any other cached read). A compute error propagates to every caller
-// in the flight; waiters treat it as their own evaluation failing.
-//
-// A waiter whose ctx ends first stops waiting and returns the classified
-// context error, exactly as if its own evaluation had timed out.
-func (c *Cache) Compute(ctx context.Context, fp string, fn func() ([]byte, error)) (payload []byte, shared bool, err error) {
-	if c == nil {
-		p, err := fn()
-		return p, false, err
-	}
-	c.mu.Lock()
-	if f, ok := c.flight[fp]; ok {
-		c.mu.Unlock()
-		mDeduped.Inc()
-		select {
-		case <-f.done:
-			return f.payload, true, f.err
-		case <-ctx.Done():
-			return nil, false, guard.CtxErr(ctx)
-		}
-	}
-	f := &flightCall{done: make(chan struct{})}
-	c.flight[fp] = f
-	c.mu.Unlock()
-
-	f.payload, f.err = fn()
-	// A nil payload with a nil error means "nothing to persist" (the
-	// caller kept its result out-of-band); don't write an empty entry.
-	if f.err == nil && f.payload != nil {
-		c.put(fp, f.payload)
-	}
-	c.mu.Lock()
-	delete(c.flight, fp)
-	c.mu.Unlock()
-	close(f.done)
-	return f.payload, false, f.err
-}
-
-// Add best-effort persists a payload computed elsewhere (a fleet worker's
-// shard outcome, a remote dispatch result) under fp. Failures are counted
-// and logged, never returned: the result already exists — only its
-// durability is at stake.
+// Add best-effort persists a freshly computed payload under fp. Failures
+// (ENOSPC, a bad mount) are counted and logged, never returned: the result
+// already exists — only its durability is at stake.
 func (c *Cache) Add(fp string, payload []byte) {
 	if c == nil {
 		return
 	}
-	c.put(fp, payload)
-}
-
-// put persists payload under fp, absorbing failures into the
-// write_failures counter.
-func (c *Cache) put(fp string, payload []byte) {
 	if err := c.store.Put(fp, payload); err != nil {
 		mWriteFailures.Inc()
 		slog.Warn("rstore: result not persisted", "kind", guard.Kind(err), "err", err)
 	}
-}
-
-// ReportBad quarantines the stored entry for fp after a caller's own
-// verification rejected payload bytes obtained outside Lookup (for
-// example, a single-flight waiter that failed to decode the leader's
-// bytes), and counts the degradation.
-func (c *Cache) ReportBad(ctx context.Context, fp string, reason error) {
-	if c == nil {
-		return
-	}
-	c.store.Quarantine(fp, reason)
-	c.degrade(ctx, reason)
 }
