@@ -8,8 +8,9 @@
 // describes (§II "the tool will automatically set the low-level parameters
 // (such as the number of banks, the number of the read/write ports) via its
 // internal optimizer"): given capacity, block size, a target latency and a
-// target throughput, Build searches bank counts, subarray aspect ratios and
-// port counts and returns the minimum-cost feasible organization.
+// target throughput, Build searches banks x read ports x write ports x
+// subarray rows x subarray columns in one loop and returns the minimum-cost
+// organization that passes every filter.
 package memarray
 
 import (
@@ -23,10 +24,11 @@ import (
 	"neurometer/internal/tech"
 )
 
-// Observability: memarray.builds counts Build calls, memarray.evals the
-// candidate organizations the internal optimizer scored — the dominant
-// cost of chip construction, and the first thing to batch or cache when
-// sweeps get slow.
+// Observability: memarray.builds counts Build calls; memarray.evals counts
+// the (banks, read ports, write ports) combinations that pass the
+// throughput filter, each of which the optimizer then scores over every
+// subarray shape that fits. That search is the dominant cost of chip
+// construction.
 var (
 	mBuilds = obs.NewCounter("memarray.builds")
 	mEvals  = obs.NewCounter("memarray.evals")
@@ -96,7 +98,15 @@ const conflictMargin = 1.0
 // maxBanks bounds the optimizer search.
 const maxBanks = 4096
 
+// subarraySides are the subarray row and column counts the optimizer
+// tries, at any aspect ratio.
+var subarraySides = []int{16, 32, 64, 128, 256, 512, 1024}
+
 // Build evaluates (and where requested, optimizes) the array organization.
+// Every organization must fit at least one block per bank, cover the
+// throughput, have enough subarrays per bank for one block, keep its bank
+// cycle within 2.05 clock cycles and meet TargetLatencyPS when one is set.
+// Among those, the first with the lowest cost wins.
 func Build(cfg Config) (*Array, error) {
 	mBuilds.Inc()
 	if cfg.CapacityBytes <= 0 {
@@ -131,6 +141,8 @@ func Build(cfg Config) (*Array, error) {
 		writeChoices = []int{cfg.WritePorts}
 	}
 
+	totalBits := float64(cfg.CapacityBytes) * 8
+	blockBits := float64(cfg.BlockBytes) * 8
 	var best *Array
 	var bestCost float64
 	for _, banks := range bankChoices {
@@ -138,23 +150,43 @@ func Build(cfg Config) (*Array, error) {
 			// Banks smaller than one block make no sense.
 			continue
 		}
+		bankBits := totalBits / float64(banks)
 		for _, rp := range readChoices {
 			for _, wp := range writeChoices {
 				if !meetsThroughput(cfg, banks, rp, wp) {
 					continue
 				}
-				a, err := evaluate(cfg, banks, rp, wp)
-				if err != nil {
-					continue
-				}
-				if cfg.TargetLatencyPS > 0 && a.accessPS > cfg.TargetLatencyPS {
-					continue
-				}
-				// Cost: area-energy product (CACTI's classic objective),
-				// energy averaged over a read+write pair.
-				cost := a.areaUM2 * (a.readPJ + a.writePJ)
-				if best == nil || cost < bestCost {
-					best, bestCost = a, cost
+				mEvals.Inc()
+				cellArea, cellW, cellH := cellGeometry(cfg.Node, cfg.Cell, rp+wp)
+				for _, rows := range subarraySides {
+					for _, cols := range subarraySides {
+						subBits := float64(rows * cols)
+						if subBits > bankBits {
+							continue
+						}
+						// Each active subarray supplies cols bits of the block.
+						subsPerBank := math.Ceil(bankBits / subBits)
+						activeSubs := math.Ceil(blockBits / float64(cols))
+						if activeSubs > subsPerBank {
+							continue
+						}
+						a := evalOrg(cfg, banks, rp, wp, rows, cols, int(subsPerBank),
+							int(activeSubs), cellArea, cellW, cellH)
+						if a.cyclePS > cfg.CyclePS*2.05 {
+							// Bank cycle can be up to 2 cycles with pipelining; slower
+							// organizations can't sustain the per-bank throughput.
+							continue
+						}
+						if cfg.TargetLatencyPS > 0 && a.accessPS > cfg.TargetLatencyPS {
+							continue
+						}
+						// Cost: area-energy product (CACTI's classic objective),
+						// energy averaged over a read+write pair.
+						cost := a.areaUM2 * (a.readPJ + a.writePJ)
+						if best == nil || cost < bestCost {
+							best, bestCost = a, cost
+						}
+					}
 				}
 			}
 		}
@@ -199,67 +231,16 @@ func portAreaFactor(cell tech.MemCell, totalPorts int) float64 {
 	return (1 + 0.45*extra) * (1 + 0.25*extra)
 }
 
-// evaluate computes the PAT of one candidate organization.
-func evaluate(cfg Config, banks, rp, wp int) (*Array, error) {
-	mEvals.Inc()
-	n := cfg.Node
-	totalBits := float64(cfg.CapacityBytes) * 8
-	bankBits := totalBits / float64(banks)
-	blockBits := float64(cfg.BlockBytes) * 8
-	ports := rp + wp
-
-	cellArea := n.CellAreaUM2(cfg.Cell) * portAreaFactor(cfg.Cell, ports)
-	cellW, cellH := n.CellDimsUM(cfg.Cell)
-	pf := math.Sqrt(portAreaFactor(cfg.Cell, ports))
-	cellW *= pf
-	cellH *= pf
-
-	// Subarray search: square-ish subarrays between 64x64 and 1024x1024.
-	type subCand struct {
-		rows, cols int
-		res        *Array
-		cost       float64
-	}
-	var best *subCand
-	for _, rows := range []int{16, 32, 64, 128, 256, 512, 1024} {
-		for _, cols := range []int{16, 32, 64, 128, 256, 512, 1024} {
-			subBits := float64(rows * cols)
-			if subBits > bankBits {
-				continue
-			}
-			subsPerBank := math.Ceil(bankBits / subBits)
-			// Active subarrays per access: enough columns to supply the
-			// block, with the column-mux ratio searched alongside.
-			for _, colMux := range []int{1, 2, 4, 8} {
-				bitsPerSub := float64(cols / colMux)
-				if bitsPerSub < 1 {
-					continue
-				}
-				activeSubs := math.Ceil(blockBits / bitsPerSub)
-				if activeSubs > subsPerBank {
-					continue
-				}
-
-				a := evalOrg(cfg, banks, rp, wp, rows, cols, int(subsPerBank),
-					int(activeSubs), cellArea, cellW, cellH)
-				if a.cyclePS > cfg.CyclePS*2.05 {
-					// Bank cycle can be up to 2 cycles with pipelining; slower
-					// organizations can't sustain the per-bank throughput.
-					continue
-				}
-				cost := a.areaUM2 * (a.readPJ + a.writePJ)
-				if best == nil || cost < best.cost {
-					best = &subCand{rows: rows, cols: cols, res: a, cost: cost}
-				}
-			}
-		}
-	}
-	if best == nil {
-		return nil, guard.Infeasible("memarray: no subarray organization fits")
-	}
-	return best.res, nil
+// cellGeometry returns the area and width/height of one bit cell with the
+// given total port count.
+func cellGeometry(n tech.Node, cell tech.MemCell, ports int) (area, w, h float64) {
+	area = n.CellAreaUM2(cell) * portAreaFactor(cell, ports)
+	w, h = n.CellDimsUM(cell)
+	pf := math.Sqrt(portAreaFactor(cell, ports))
+	return area, w * pf, h * pf
 }
 
+// evalOrg computes the PAT of one organization.
 func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
 	cellArea, cellW, cellH float64) *Array {
 
@@ -322,8 +303,7 @@ func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
 	bankCtlArea, bankCtlDyn, bankCtlLeak := n.LogicBlock(bankCtlGates, 0.3)
 
 	bankTotalArea := (bankArea+htreeArea+bankCtlArea)*1.08 + // bank assembly
-		float64(activeSubs)*blockBits/float64(activeSubs)*
-			circuit.DFF{Node: n}.Eval().AreaUM2 // output latch per block bit
+		blockBits*circuit.DFF{Node: n}.Eval().AreaUM2 // output latch per block bit
 
 	// ---- Array level -----------------------------------------------------
 	cellsOnly := bankTotalArea * float64(banks)
