@@ -351,12 +351,19 @@ type ChipRequest struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
+// resolve builds the requested chip. Presets go through the process-wide
+// chip.BuildCached memo; inline configs are built afresh, because the memo
+// never evicts and every distinct client body would stay in it for the
+// life of the process.
 func (cr ChipRequest) resolve() (*chip.Chip, error) {
 	cfg, err := apicfg.Resolve(cr.Preset, cr.Config)
 	if err != nil {
 		return nil, err
 	}
-	return chip.BuildCached(cfg)
+	if cr.Preset != "" {
+		return chip.BuildCached(cfg)
+	}
+	return chip.Build(cfg)
 }
 
 func (s *Server) buildHandler(r *http.Request) (int, any, error) {

@@ -280,3 +280,38 @@ func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 	invariants.RequireNoGoroutineLeak(t, base)
 	invariants.RequireGaugesDrained(t)
 }
+
+// TestResolveMemoizesPresetsOnly: preset requests share one memoized chip,
+// while inline configs are built per request and never retained by the
+// process-wide build memo.
+func TestResolveMemoizesPresetsOnly(t *testing.T) {
+	inline := ChipRequest{Config: json.RawMessage(`{
+	  "name": "inline-memo", "tech_nm": 28, "clock_hz": 700e6, "tx": 2, "ty": 2,
+	  "core": {"num_tus": 1, "tu_rows": 32, "tu_cols": 32, "tu_data_type": "int8",
+	           "mem": [{"name": "spad", "capacity_bytes": 1048576}]},
+	  "off_chip": [{"kind": "hbm", "gbps": 700}]}`)}
+	a, err := inline.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := inline.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Errorf("inline config resolved twice returned the same memoized chip")
+	}
+
+	preset := ChipRequest{Preset: "tpuv1"}
+	p1, err := preset.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := preset.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Errorf("preset resolved twice returned distinct chips; presets must stay memoized")
+	}
+}
